@@ -875,6 +875,19 @@ mod tests {
     }
 
     #[test]
+    fn replay_rejects_an_overflowing_header() {
+        // 87 bytes whose header count times the record size wraps to 71.
+        let mut bytes = b"CBTR\x01\x00".to_vec();
+        bytes.extend_from_slice(&252_695_124_297_391_119u64.to_le_bytes());
+        bytes.resize(87, 0);
+        let path = std::env::temp_dir().join("cable_cli_overflow_test.cbtr");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = run(&["replay", path.to_str().unwrap()]).unwrap_err();
+        assert!(err.starts_with("trace format error"), "{err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
     fn fabric_validates_arguments() {
         assert!(run(&["fabric"]).is_err());
         assert!(run(&["fabric", "gcc", "1"])
@@ -1122,6 +1135,11 @@ mod tests {
         assert!(run(&["report", "/nonexistent/trace.jsonl"])
             .unwrap_err()
             .contains("cannot read"));
+        let path = std::env::temp_dir().join("cable_cli_nested_test.jsonl");
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        let err = run(&["report", path.to_str().unwrap()]).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

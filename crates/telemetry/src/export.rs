@@ -14,9 +14,10 @@
 //! small traces.
 
 use crate::event::{Event, TraceEvent, TRACKS};
+use crate::json::{self, int_array};
 use crate::registry::{MetricValue, Snapshot};
 use crate::sink::EventSink;
-use crate::{json, Telemetry};
+use crate::Telemetry;
 use std::io::{self, Write};
 
 /// An incremental JSONL writer over any [`io::Write`].
@@ -288,19 +289,6 @@ pub fn chrome_trace(tel: &Telemetry) -> String {
     }
     sink.close().expect("in-memory writes cannot fail");
     String::from_utf8(sink.into_inner()).expect("exporter writes UTF-8")
-}
-
-fn int_array(values: &[u64]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]

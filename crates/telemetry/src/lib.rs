@@ -14,8 +14,9 @@
 //!   deterministic across runs;
 //! - [`export`] — a metrics snapshot + trace as JSONL, and a Chrome
 //!   `trace_event` JSON viewable in `about://tracing` / Perfetto;
-//! - [`json`] — a dependency-free JSON syntax validator the test suite and
-//!   CI use to check exported files actually parse.
+//! - [`json`] — the crate's one JSON reader: a strict, zero-copy,
+//!   depth-limited parser behind the report layer and the validators the
+//!   test suite and CI use to check exported files actually parse.
 //!
 //! # The `Telemetry` handle
 //!

@@ -17,7 +17,7 @@
 
 use crate::event::{Event, LaneKind};
 use crate::hop::parse_hop_metric;
-use crate::json;
+use crate::json::{self, int_array, Value};
 use crate::latency::{
     parse_latency_metric, LatencyStage, LATENCY_ALL_STAGES, LATENCY_METRIC_PREFIX,
 };
@@ -339,7 +339,7 @@ impl Report {
                 continue;
             }
             lines += 1;
-            let parsed = parse_json(line).and_then(|val| {
+            let parsed = json::parse(line).and_then(|val| {
                 apply_trace_line(
                     &val,
                     &mut samples,
@@ -687,7 +687,7 @@ impl Report {
     /// Returns a message on malformed JSON or on an object that is not a
     /// `cable_report` artifact.
     pub fn from_report_json(text: &str) -> Result<Self, String> {
-        let val = parse_json(text.trim())?;
+        let val = json::parse(text.trim())?;
         if val.get("type").and_then(Value::as_str) != Some("cable_report") {
             return Err("not a cable_report artifact (run `cable report` first)".into());
         }
@@ -785,7 +785,7 @@ impl Report {
         ] {
             if let Some(Value::Obj(pairs)) = val.get(key) {
                 for (id, v) in pairs {
-                    out.push((id.clone(), v.as_u64().unwrap_or(0)));
+                    out.push((id.to_string(), v.as_u64().unwrap_or(0)));
                 }
             }
         }
@@ -1168,22 +1168,10 @@ fn spark_line(permille: &[u64]) -> String {
         .collect()
 }
 
-fn int_array(values: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
 /// Applies one parsed trace line to the aggregation accumulators.
 /// Errors are bare messages; the caller prefixes the line number.
 fn apply_trace_line(
-    val: &Value,
+    val: &Value<'_>,
     samples: &mut Vec<Stamped>,
     counters: &mut Vec<(String, u64)>,
     gauges: &mut Vec<(String, u64)>,
@@ -1630,257 +1618,6 @@ fn percentile(h: &HistData, q_permille: u64) -> u64 {
     *h.edges.last().expect("non-empty")
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON value parser (the export schema is integer/string-heavy,
-// but the parser accepts full JSON so foreign tooling output parses
-// too). The workspace takes no external crates.
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Int(u64),
-    Float(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// First value under `key` (exported event lines can legally repeat
-    /// a key — e.g. marker events carry their own `"name"` argument —
-    /// and the schema field always comes first).
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Float(f) if *f >= 0.0 => Some(*f as u64),
-            _ => None,
-        }
-    }
-
-    fn as_u64_array(&self) -> Option<Vec<u64>> {
-        match self {
-            Value::Arr(items) => items.iter().map(Value::as_u64).collect(),
-            _ => None,
-        }
-    }
-}
-
-fn parse_json(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, text: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at offset {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            pairs.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(format!("expected `,` or `}}` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes")?;
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Int(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| format!("bad number at offset {start}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1917,25 +1654,6 @@ mod tests {
         tel.histogram("lat", &[10, 100]).record(50);
         tel.histogram("lat", &[10, 100]).record(500);
         tel
-    }
-
-    #[test]
-    fn parser_handles_schema_lines() {
-        let v = parse_json(
-            "{\"type\":\"event\",\"name\":\"marker\",\"track\":\"marker\",\"now_ps\":5,\"seq\":0,\"name\":\"m\",\"value\":2}",
-        )
-        .unwrap();
-        // First-wins lookup: the schema's event name, not the marker arg.
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("marker"));
-        assert_eq!(v.get("now_ps").and_then(Value::as_u64), Some(5));
-        let v = parse_json("{\"a\":[1,2,3],\"b\":-1.5e2,\"c\":null,\"d\":true}").unwrap();
-        assert_eq!(
-            v.get("a").and_then(Value::as_u64_array),
-            Some(vec![1, 2, 3])
-        );
-        assert_eq!(v.get("b"), Some(&Value::Float(-150.0)));
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{} trailing").is_err());
     }
 
     #[test]
@@ -2234,6 +1952,68 @@ mod tests {
         let err = Report::from_jsonl(&text).unwrap_err();
         assert!(err.starts_with("line 1001:"), "{err}");
         assert!(err.contains("2 of 1002 lines malformed"), "{err}");
+    }
+
+    /// `inner` wrapped in `depth` arrays.
+    fn in_arrays(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn jsonl_nesting_is_limited_without_overflowing() {
+        use crate::json::MAX_DEPTH;
+        // The line object is one level, so MAX_DEPTH - 1 arrays fill it.
+        let at_limit = format!(
+            "{{\"type\":\"meta\",\"x\":{}}}",
+            in_arrays(MAX_DEPTH - 1, "")
+        );
+        let r = Report::from_jsonl(&at_limit).expect("nesting at the limit parses");
+        assert_eq!(r.malformed_lines, 0);
+        let past = format!("{{\"type\":\"meta\",\"x\":{}}}", in_arrays(MAX_DEPTH, ""));
+        let err = Report::from_jsonl(&past).unwrap_err();
+        assert!(err.starts_with("line 1: nesting deeper than 128"), "{err}");
+        // A line of 200,000 `[` is a typed error, not a stack overflow.
+        let err = Report::from_jsonl(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(err.contains("1 of 1 lines malformed"), "{err}");
+    }
+
+    #[test]
+    fn report_json_nesting_is_limited_without_overflowing() {
+        use crate::json::MAX_DEPTH;
+        let json = Report::from_telemetry(&sample_tel()).to_json();
+        let body = json.strip_suffix('}').expect("artifact is an object");
+        let at_limit = format!("{body},\"x\":{}}}", in_arrays(MAX_DEPTH - 1, ""));
+        let r = Report::from_report_json(&at_limit).expect("nesting at the limit parses");
+        assert_eq!(r, Report::from_report_json(&json).unwrap());
+        let past = format!("{body},\"x\":{}}}", in_arrays(MAX_DEPTH, ""));
+        let err = Report::from_report_json(&past).unwrap_err();
+        assert!(err.starts_with("nesting deeper than 128"), "{err}");
+        assert!(Report::from_report_json(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn non_rfc_lines_count_as_malformed() {
+        // Leading zeros, bare fractions and raw control bytes are not
+        // JSON; each such line is skipped and counted like any other
+        // malformed line.
+        let mut text = String::new();
+        for i in 0..1000 {
+            let _ = writeln!(
+                text,
+                "{{\"type\":\"counter\",\"id\":\"c{i}\",\"value\":{i}}}"
+            );
+        }
+        let clean = Report::from_jsonl(&text).unwrap();
+        for bad in [
+            "{\"type\":\"counter\",\"id\":\"z\",\"value\":01}",
+            "{\"type\":\"counter\",\"id\":\"z\",\"value\":1.}",
+            "{\"type\":\"counter\",\"id\":\"z\u{1}\",\"value\":1}",
+        ] {
+            let r = Report::from_jsonl(&format!("{text}{bad}\n")).expect("within tolerance");
+            assert_eq!(r.malformed_lines, 1, "{bad:?}");
+            assert_eq!(r.counters, clean.counters, "{bad:?}");
+        }
     }
 
     #[test]

@@ -160,11 +160,12 @@ impl TraceReader {
         }
         let count = u64::from_le_bytes(bytes[6..14].try_into().unwrap());
         let body_len = (bytes.len() - HEADER_BYTES) as u64;
-        if body_len < count * RECORD_BYTES as u64 {
+        let need = count
+            .checked_mul(RECORD_BYTES as u64)
+            .ok_or_else(|| TraceFormatError::new(format!("record count {count} overflows")))?;
+        if body_len < need {
             return Err(TraceFormatError::new(format!(
-                "body holds {} bytes, need {}",
-                body_len,
-                count * RECORD_BYTES as u64
+                "body holds {body_len} bytes, need {need}"
             )));
         }
         Ok(TraceReader {
@@ -274,6 +275,34 @@ mod tests {
         let full = w.finish();
         let truncated = full[0..full.len() - 10].to_vec();
         assert!(TraceReader::new(truncated).is_err());
+    }
+
+    /// The 87-byte header-overflow file: its count times the record
+    /// size wraps to 71, under the 73 body bytes it carries.
+    fn overflowing_header() -> Vec<u8> {
+        let count: u64 = 252_695_124_297_391_119;
+        assert_eq!(count.wrapping_mul(RECORD_BYTES as u64), 71);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.resize(HEADER_BYTES + RECORD_BYTES, 0);
+        assert_eq!(bytes.len(), 87);
+        bytes
+    }
+
+    #[test]
+    fn overflowing_record_count_rejected() {
+        let err = TraceReader::new(overflowing_header()).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
+        // The largest count that does not overflow still fails the
+        // length check instead of reading past the body.
+        let mut bytes = overflowing_header();
+        let max = u64::MAX / RECORD_BYTES as u64;
+        bytes[6..14].copy_from_slice(&max.to_le_bytes());
+        assert!(TraceReader::new(bytes)
+            .unwrap_err()
+            .to_string()
+            .contains("body holds 73 bytes"));
     }
 
     #[test]
