@@ -5,8 +5,8 @@
 //! Each pair runs the lane-parallel kernel next to the scalar oracle it is
 //! proven bit-identical to (see the proptest equivalence suites), so
 //! kernel-level wins stay visible independently of the end-to-end
-//! `perf_smoke` numbers. With `--no-default-features` the "vectorized"
-//! entries fall back to the scalar path and the pairs should read ~equal.
+//! `perf_smoke` numbers. The lane kernels are the only encode path the
+//! library runs; the scalar entries time the hidden test oracles.
 
 use cable_common::{Address, LineData};
 use cable_compress::{Compressor, Cpack, Lbe, SeededCompressor};

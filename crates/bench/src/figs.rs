@@ -184,7 +184,7 @@ pub fn fig13() -> FigureResult<'static> {
             .iter()
             .map(|(_, s)| {
                 let mut sim = NumaSim::new(p, *s, 4);
-                sim.run(accesses);
+                sim.run_sharded(accesses, 1);
                 sim.combined_stats().compression_ratio()
             })
             .collect()

@@ -2,7 +2,9 @@
 //!
 //! The JSON emitter is hand-rolled: the result shape is a flat
 //! label/number table, which does not justify a serialization dependency.
+//! It shares the string escaper and the reader of `cable_telemetry::json`.
 
+use cable_telemetry::json::{self, escape, Value};
 use std::fs;
 use std::path::Path;
 
@@ -72,18 +74,6 @@ pub struct FigureResult<'a> {
     pub rows: Vec<(String, Vec<f64>)>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 impl FigureResult<'_> {
     /// Serializes the result as JSON.
     #[must_use]
@@ -91,7 +81,7 @@ impl FigureResult<'_> {
         let cols = self
             .columns
             .iter()
-            .map(|c| format!("\"{}\"", json_escape(c)))
+            .map(|c| format!("\"{}\"", escape(c)))
             .collect::<Vec<_>>()
             .join(", ");
         let rows = self
@@ -111,15 +101,15 @@ impl FigureResult<'_> {
                     .join(", ");
                 format!(
                     "    {{\"label\": \"{}\", \"values\": [{vals}]}}",
-                    json_escape(label)
+                    escape(label)
                 )
             })
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
             "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"columns\": [{cols}],\n  \"rows\": [\n{rows}\n  ]\n}}\n",
-            json_escape(self.id),
-            json_escape(self.title)
+            escape(self.id),
+            escape(self.title)
         )
     }
 }
@@ -146,63 +136,50 @@ impl LoadedFigure {
     }
 }
 
-/// Parses the restricted JSON emitted by [`save_json`] (this module's own
-/// format — not a general JSON parser).
+/// Parses a figure result emitted by [`save_json`] with the workspace's
+/// one JSON reader. A `null` value (how non-finite numbers are written)
+/// loads as NaN.
 ///
 /// # Errors
 ///
-/// Returns a description of the first structural mismatch.
+/// Returns the reader's syntax error, or names the first field that is
+/// missing or of the wrong type (any non-number value other than `null`).
 pub fn load_json(text: &str) -> Result<LoadedFigure, String> {
-    fn string_after<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\": \"");
-        let start = text
-            .find(&pat)
-            .ok_or_else(|| format!("missing key {key}"))?
-            + pat.len();
-        let end = text[start..]
-            .find('"')
-            .ok_or_else(|| format!("unterminated string for {key}"))?;
-        Ok(&text[start..start + end])
+    fn string(v: Option<&Value<'_>>, what: &str) -> Result<String, String> {
+        v.and_then(Value::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("{what} must be a string"))
     }
-    fn unescape(s: &str) -> String {
-        s.replace("\\n", "\n")
-            .replace("\\\"", "\"")
-            .replace("\\\\", "\\")
+    fn array<'v, 'a>(v: Option<&'v Value<'a>>, what: &str) -> Result<&'v [Value<'a>], String> {
+        match v {
+            Some(Value::Arr(items)) => Ok(items),
+            _ => Err(format!("{what} must be an array")),
+        }
     }
-    let id = unescape(string_after(text, "id")?);
-    let title = unescape(string_after(text, "title")?);
-    // Columns array.
-    const COLS_PAT: &str = "\"columns\": [";
-    let cstart = text.find(COLS_PAT).ok_or("missing columns")? + COLS_PAT.len();
-    let cend = text[cstart..].find(']').ok_or("unterminated columns")? + cstart;
-    let columns: Vec<String> = text[cstart..cend]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(unescape)
-        .collect();
-    // Rows.
-    let mut rows = Vec::new();
-    let mut rest = &text[cend..];
-    const LABEL_PAT: &str = "{\"label\": \"";
-    const VALUES_PAT: &str = "\"values\": [";
-    while let Some(pos) = rest.find(LABEL_PAT) {
-        rest = &rest[pos + LABEL_PAT.len()..];
-        let lend = rest.find('"').ok_or("unterminated row label")?;
-        let label = unescape(&rest[..lend]);
-        let vstart = rest.find(VALUES_PAT).ok_or("missing values")? + VALUES_PAT.len();
-        let vend = rest[vstart..].find(']').ok_or("unterminated values")? + vstart;
-        let values: Vec<f64> = rest[vstart..vend]
-            .split(',')
-            .filter(|v| !v.trim().is_empty())
-            .map(|v| v.trim().parse::<f64>().unwrap_or(f64::NAN))
-            .collect();
-        rows.push((label, values));
-        rest = &rest[vend..];
-    }
+    let doc = json::parse(text)?;
+    let columns = array(doc.get("columns"), "columns")?
+        .iter()
+        .map(|c| string(Some(c), "column label"))
+        .collect::<Result<_, _>>()?;
+    let rows = array(doc.get("rows"), "rows")?
+        .iter()
+        .map(|row| {
+            let label = string(row.get("label"), "row label")?;
+            let values = array(row.get("values"), "row values")?
+                .iter()
+                .map(|v| match v {
+                    Value::Int(n) => Ok(*n as f64),
+                    Value::Float(x) => Ok(*x),
+                    Value::Null => Ok(f64::NAN),
+                    other => Err(format!("row {label:?}: {other:?} is not a number")),
+                })
+                .collect::<Result<_, _>>()?;
+            Ok((label, values))
+        })
+        .collect::<Result<_, String>>()?;
     Ok(LoadedFigure {
-        id,
-        title,
+        id: string(doc.get("id"), "id")?,
+        title: string(doc.get("title"), "title")?,
         columns,
         rows,
     })
@@ -266,6 +243,51 @@ mod tests {
         assert_eq!(loaded.value("mcf", "B"), Some(2.5));
         assert_eq!(loaded.value("MEAN", "A"), Some(3.0));
         assert_eq!(loaded.value("nope", "A"), None);
+    }
+
+    #[test]
+    fn json_round_trips_quotes_backslashes_and_brackets() {
+        // A quote, a backslash, a literal backslash-n (two characters), a
+        // real newline and a `]` in every string the figure carries.
+        let nasty = |s: &str| format!("{s} \"q\" a\\b lit\\n nl\n [x]");
+        let id = nasty("id");
+        let title = nasty("title");
+        let r = FigureResult {
+            id: &id,
+            title: &title,
+            columns: vec![nasty("A"), nasty("B")],
+            rows: vec![
+                (nasty("row"), vec![1.5, f64::NAN]),
+                ("plain".into(), vec![-0.25, 3.0]),
+            ],
+        };
+        let loaded = load_json(&r.to_json()).unwrap();
+        assert_eq!(loaded.id, id);
+        assert_eq!(loaded.title, title);
+        assert_eq!(loaded.columns, r.columns);
+        let labels: Vec<&str> = loaded.rows.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, [nasty("row").as_str(), "plain"]);
+        assert_eq!(loaded.value(&nasty("row"), &nasty("A")), Some(1.5));
+        assert!(loaded.value(&nasty("row"), &nasty("B")).unwrap().is_nan());
+        assert_eq!(loaded.value("plain", &nasty("A")), Some(-0.25));
+        assert_eq!(loaded.value("plain", &nasty("B")), Some(3.0));
+    }
+
+    #[test]
+    fn load_json_refuses_non_numbers_and_malformed_text() {
+        let with = |v: &str| {
+            format!(
+                "{{\"id\": \"f\", \"title\": \"t\", \"columns\": [\"A\"], \
+                 \"rows\": [{{\"label\": \"r\", \"values\": [{v}]}}]}}"
+            )
+        };
+        assert!(load_json(&with("null")).unwrap().rows[0].1[0].is_nan());
+        assert_eq!(load_json(&with("2")).unwrap().rows[0].1, [2.0]);
+        for bad in ["\"2\"", "true", "[1]", "{}"] {
+            assert!(load_json(&with(bad)).is_err(), "{bad} is not a number");
+        }
+        assert!(load_json("{\"id\": \"f\"").is_err(), "truncated text");
+        assert!(load_json("{\"id\": 1}").is_err(), "id must be a string");
     }
 
     #[test]

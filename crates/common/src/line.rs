@@ -131,21 +131,17 @@ impl LineData {
     /// Computes the 16-bit coverage bit vector (CBV) of `candidate` against
     /// `self`: bit `i` is set when word `i` matches exactly (§III-C).
     ///
-    /// With the `vectorized` feature (default), the comparison runs over
-    /// `u64` lane blocks via [`crate::lanes::line_eq_mask`]; the scalar
-    /// per-word loop stays available as [`LineData::coverage_vector_scalar`]
-    /// and the two are bit-identical by construction.
+    /// The comparison runs over `u64` lane blocks via
+    /// [`crate::lanes::line_eq_mask`]; the per-word loop survives as the
+    /// test oracle `coverage_vector_scalar`, bit-identical by construction.
     #[must_use]
     pub fn coverage_vector(&self, candidate: &LineData) -> u16 {
-        if cfg!(feature = "vectorized") {
-            crate::lanes::line_eq_mask(&self.as_lanes(), &candidate.as_lanes())
-        } else {
-            self.coverage_vector_scalar(candidate)
-        }
+        crate::lanes::line_eq_mask(&self.as_lanes(), &candidate.as_lanes())
     }
 
     /// Scalar oracle for [`LineData::coverage_vector`]: the per-word
     /// comparison loop the lane kernel is verified against.
+    #[doc(hidden)]
     #[must_use]
     pub fn coverage_vector_scalar(&self, candidate: &LineData) -> u16 {
         let mut cbv = 0u16;

@@ -6,12 +6,11 @@
 //! (immediates). Each line is encoded independently — BDI keeps no state
 //! across lines, which is why the paper classes it as non-dictionary.
 //!
-//! The vectorized encoder materializes each segment width once into a stack
-//! buffer and probes all six base+delta encodings against those shared
-//! arrays — one pass per width instead of a fresh heap-allocated segment
-//! vector per candidate encoding. The original allocating path survives as
-//! the scalar oracle ([`Bdi::compress_scalar`]) and is the compiled path
-//! when the `vectorized` feature is off; both emit identical bytes.
+//! The encoder materializes each segment width once into a stack buffer
+//! and probes all six base+delta encodings against those shared arrays —
+//! one pass per width instead of a fresh heap-allocated segment vector per
+//! candidate encoding. The original allocating path survives as the hidden
+//! test oracle (`Bdi::compress_scalar`); both emit identical bytes.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded};
 use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
@@ -167,18 +166,10 @@ impl Bdi {
         Bdi
     }
 
-    fn pick_encoding(line: &LineData) -> Encoding {
-        if cfg!(feature = "vectorized") {
-            Self::pick_encoding_lanes(line)
-        } else {
-            Self::pick_encoding_scalar(line)
-        }
-    }
-
     /// Batched encoding probe: the 8-byte segments are exactly the line's
     /// `u64` lane blocks, and the 4-/2-byte widths are materialized once
     /// into stack buffers shared by every candidate encoding.
-    fn pick_encoding_lanes(line: &LineData) -> Encoding {
+    fn pick_encoding(line: &LineData) -> Encoding {
         if line.is_zero() {
             return Encoding::Zeros;
         }
@@ -227,6 +218,7 @@ impl Bdi {
 
     /// Scalar-oracle twin of [`Compressor::compress`] (BDI is stateless, so
     /// only the probe differs); byte-identical output by construction.
+    #[doc(hidden)]
     #[must_use]
     pub fn compress_scalar(&self, line: &LineData) -> Encoded {
         Self::emit(line, Self::pick_encoding_scalar(line))

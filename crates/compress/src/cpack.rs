@@ -29,13 +29,13 @@
 //!
 //! The per-word encoder cost is dominated by the dictionary scan, which
 //! classifies every entry against three patterns (`mmmm`, `mmmx`, `mmxx`).
-//! The vectorized path computes all three match masks for the whole
-//! dictionary in one pass ([`cable_common::lanes::cpack_match_masks`]) and
-//! picks the first match of each class with `trailing_zeros`. The original
-//! branchy scan stays in-tree as the scalar oracle
-//! ([`Cpack::compress_seeded_scalar`], [`Cpack::compress_scalar`]); both
-//! produce byte-identical payloads, and the scalar probe is the only one
-//! compiled when the `vectorized` feature is off.
+//! The lane probe computes all three match masks for the whole dictionary
+//! in one pass ([`cable_common::lanes::cpack_match_masks`]) and picks the
+//! first match of each class with `trailing_zeros`. The original branchy
+//! scan stays in-tree as the hidden test oracle
+//! (`Cpack::compress_seeded_scalar`, `Cpack::compress_scalar`); both
+//! produce byte-identical payloads. The branchy scan is also the only
+//! probe for dictionaries larger than a 64-lane movemask.
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded, SeededCompressor};
 use cable_common::{bits_for, lanes, BitReader, BitWriter, LineData, WORDS_PER_LINE, WORD_BYTES};
@@ -147,7 +147,7 @@ impl Cpack {
     }
 
     fn encode_line(&mut self, line: &LineData, out: &mut BitWriter) {
-        self.encode_line_impl(line, out, cfg!(feature = "vectorized"));
+        self.encode_line_impl(line, out, true);
     }
 
     /// Encodes one line; `lane_probe` selects the vectorized dictionary
@@ -201,6 +201,7 @@ impl Cpack {
 
     /// Scalar-oracle twin of [`Compressor::compress`]: same dictionary
     /// update, same wire bytes, branchy per-entry probe.
+    #[doc(hidden)]
     pub fn compress_scalar(&mut self, line: &LineData) -> Encoded {
         if !self.persist {
             self.dict.clear();
@@ -212,6 +213,7 @@ impl Cpack {
 
     /// Scalar-oracle twin of [`SeededCompressor::compress_seeded`]; the
     /// equivalence suite checks it byte-for-byte against the lane probe.
+    #[doc(hidden)]
     #[must_use]
     pub fn compress_seeded_scalar(&self, refs: &[LineData], line: &LineData) -> Encoded {
         let mut scratch = self.clone();

@@ -36,10 +36,10 @@
 //! anchor word across the whole window with [`cable_common::lanes::eq_mask`]
 //! and walks only the set bits. Seeded calls build their window in a stack
 //! buffer — no engine clone, no allocation. The original per-word encoder
-//! is kept as the scalar oracle ([`Lbe::compress_seeded_scalar`],
-//! [`Lbe::compress_scalar`]); both paths are bit-identical on the wire, and
-//! with the `vectorized` cargo feature disabled the oracle is the only path
-//! compiled in.
+//! is kept as the hidden test oracle (`Lbe::compress_seeded_scalar`,
+//! `Lbe::compress_scalar`); both paths are bit-identical on the wire. The
+//! per-word encoder is also the only path for windows wider than a
+//! 64-lane movemask (LBE512 and up).
 
 use crate::{Compressor, DecodeError, Decompressor, Encoded, SeededCompressor};
 use cable_common::{bits_for, lanes, BitReader, BitWriter, LineData, WORDS_PER_LINE, WORD_BYTES};
@@ -162,6 +162,7 @@ impl Lbe {
 
     /// Scalar-oracle twin of [`Compressor::compress`]: same window update,
     /// same wire bytes, per-word reference encoder.
+    #[doc(hidden)]
     pub fn compress_scalar(&mut self, line: &LineData) -> Encoded {
         let mut out = BitWriter::new();
         encode_words_scalar(&self.window, self.offset_bits(), &line.to_words(), &mut out);
@@ -174,6 +175,7 @@ impl Lbe {
     /// Scalar-oracle twin of [`SeededCompressor::compress_seeded`]. The
     /// vectorized encoder must produce byte-identical output; the
     /// equivalence suite enforces this on every payload.
+    #[doc(hidden)]
     #[must_use]
     pub fn compress_seeded_scalar(&self, refs: &[LineData], line: &LineData) -> Encoded {
         let mut stack = [0u32; LANE_WINDOW_WORDS];
@@ -186,9 +188,9 @@ impl Lbe {
 }
 
 /// Encodes one line against a frozen window, dispatching to the lane
-/// kernels when they are compiled in and the window fits a movemask.
+/// kernels when the window fits a movemask.
 fn encode_words(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: &mut BitWriter) {
-    if cfg!(feature = "vectorized") && win.len() <= LANE_WINDOW_WORDS {
+    if win.len() <= LANE_WINDOW_WORDS {
         encode_words_lanes(win, ob, words, out);
     } else {
         encode_words_scalar(win, ob, words, out);
@@ -262,7 +264,7 @@ fn encode_words_lanes(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: 
 
 /// Scalar oracle encoder: the original per-word loop, kept verbatim as the
 /// specification the lane kernels are tested against (and as the only path
-/// when the `vectorized` feature is off or the window exceeds 64 words).
+/// when the window exceeds 64 words).
 fn encode_words_scalar(win: &[u32], ob: u32, words: &[u32; WORDS_PER_LINE], out: &mut BitWriter) {
     let mut i = 0;
     while i < WORDS_PER_LINE {

@@ -205,21 +205,14 @@ impl SignatureExtractor {
     /// Allocation-free form of [`SignatureExtractor::insert_signatures_n`]:
     /// clears `out` and fills it with the insert signatures.
     ///
+    /// Mask-driven: one [`nontrivial_mask`] computes all sixteen
+    /// triviality tests at once, and each offset's forwarding scan is a
+    /// `trailing_zeros` on the shifted mask.
+    ///
     /// # Panics
     ///
     /// Panics if `count` is 0 or greater than 16.
     pub fn insert_signatures_into(&self, line: &LineData, count: usize, out: &mut SignatureBuf) {
-        if cfg!(feature = "vectorized") {
-            self.insert_signatures_into_lanes(line, count, out);
-        } else {
-            self.insert_signatures_into_scalar(line, count, out);
-        }
-    }
-
-    /// Mask-driven insert extraction: one [`nontrivial_mask`] computes all
-    /// sixteen triviality tests at once, and each offset's forwarding scan
-    /// is a `trailing_zeros` on the shifted mask.
-    fn insert_signatures_into_lanes(&self, line: &LineData, count: usize, out: &mut SignatureBuf) {
         assert!(
             (1..=WORDS_PER_LINE).contains(&count),
             "insert-signature count must be 1..=16"
@@ -242,6 +235,7 @@ impl SignatureExtractor {
 
     /// Scalar oracle for [`SignatureExtractor::insert_signatures_into`]:
     /// the original per-word forwarding scan.
+    #[doc(hidden)]
     pub fn insert_signatures_into_scalar(
         &self,
         line: &LineData,
@@ -277,19 +271,12 @@ impl SignatureExtractor {
 
     /// Allocation-free form of [`SignatureExtractor::search_signatures`]:
     /// clears `out` and fills it with all distinct non-trivial signatures.
+    ///
+    /// Mask-driven: the branchless [`nontrivial_mask`] replaces sixteen
+    /// data-dependent triviality branches, and when most words survive,
+    /// the whole line is hashed in one [`H3::hash_line`] pass instead of
+    /// sixteen separate calls.
     pub fn search_signatures_into(&self, line: &LineData, out: &mut SignatureBuf) {
-        if cfg!(feature = "vectorized") {
-            self.search_signatures_into_lanes(line, out);
-        } else {
-            self.search_signatures_into_scalar(line, out);
-        }
-    }
-
-    /// Mask-driven search extraction: the branchless [`nontrivial_mask`]
-    /// replaces sixteen data-dependent triviality branches, and when most
-    /// words survive, the whole line is hashed in one [`H3::hash_line`]
-    /// pass instead of sixteen separate calls.
-    fn search_signatures_into_lanes(&self, line: &LineData, out: &mut SignatureBuf) {
         out.clear();
         let mut mask = nontrivial_mask(line);
         if mask == 0 {
@@ -314,6 +301,7 @@ impl SignatureExtractor {
 
     /// Scalar oracle for [`SignatureExtractor::search_signatures_into`]:
     /// the original per-word loop.
+    #[doc(hidden)]
     pub fn search_signatures_into_scalar(&self, line: &LineData, out: &mut SignatureBuf) {
         out.clear();
         for word in line.words() {

@@ -10,7 +10,6 @@
 
 use crate::adaptive::{DegradationStats, DegradeLevel, OnOffController};
 use crate::config::SystemConfig;
-use crate::sched::Scheduler;
 use crate::shard::{for_each_shard, ShardPlan};
 use crate::thread::{CompressedLink, Scheme};
 use cable_cache::CacheGeometry;
@@ -183,40 +182,8 @@ impl NumaSim {
         (addr.page_number() % self.nodes as u64) as usize
     }
 
-    /// Runs `accesses` memory accesses, compressing all cross-chip traffic.
-    ///
-    /// This study is functional, not timed — it measures what the link
-    /// compresses, not when — but it now sits on the shared
-    /// [`Scheduler`](crate::Scheduler) event core like every other
-    /// multi-actor loop: the generator is an actor enqueued at its next
-    /// operation time (one [`NUMA_OP_PITCH_PS`] per access), so the shard
-    /// engine and the report timelines see the same event-driven clock
-    /// discipline as the timed simulators. The seed straight-line loop is
-    /// kept verbatim as [`NumaSim::run_linear`], the equivalence oracle.
-    pub fn run(&mut self, accesses: u64) {
-        let mut sched = Scheduler::with_capacity(1);
-        let mut remaining = accesses;
-        if remaining > 0 {
-            sched.push(self.now_ps + NUMA_OP_PITCH_PS, 0);
-        }
-        while let Some((t, actor)) = sched.pop() {
-            self.now_ps = t;
-            self.tel.set_now_ps(self.now_ps);
-            let op = self.next_op();
-            if let Some(op) = op {
-                Self::apply_op(&mut self.links[op.link], &self.tel, self.lat.as_ref(), &op);
-                self.controllers[op.link].note_op(&mut self.links[op.link]);
-            }
-            remaining -= 1;
-            if remaining > 0 {
-                sched.push(self.now_ps + NUMA_OP_PITCH_PS, actor);
-            }
-        }
-    }
-
     /// The seed O(accesses) straight-line loop, kept verbatim as the
-    /// equivalence oracle for [`NumaSim::run`] and
-    /// [`NumaSim::run_sharded`].
+    /// equivalence oracle for [`NumaSim::run_sharded`].
     #[doc(hidden)]
     pub fn run_linear(&mut self, accesses: u64) {
         for _ in 0..accesses {
@@ -248,13 +215,18 @@ impl NumaSim {
         }
     }
 
-    /// Runs `accesses` accesses with the per-link work sharded across
-    /// `workers` OS threads — bit-identical to [`NumaSim::run`] for every
-    /// worker count.
+    /// Runs `accesses` memory accesses, compressing all cross-chip traffic,
+    /// with the per-link work sharded across `workers` OS threads —
+    /// bit-identical to [`NumaSim::run_linear`] for every worker count.
+    /// `run_sharded(accesses, 1)` is the sequential run.
+    ///
+    /// This study is functional, not timed — it measures what the link
+    /// compresses, not when; the coarse clock advances one
+    /// [`NUMA_OP_PITCH_PS`] per access so report timelines are meaningful.
     ///
     /// The generator is a single sequential stream, so each epoch first
     /// dispatches [`NUMA_EPOCH_OPS`] accesses inline (advancing the
-    /// generator and the coarse clock exactly as [`NumaSim::run`] does,
+    /// generator and the coarse clock exactly as the seed loop does,
     /// including the in-order `content`/`store_data` calls), queueing each
     /// remote operation — with its payloads and timestamp — onto its
     /// link's queue. The links are then drained in parallel: every link is
@@ -455,7 +427,7 @@ mod tests {
     #[test]
     fn page_interleave_splits_traffic() {
         let mut sim = NumaSim::new(by_name("gcc").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
-        sim.run(20_000);
+        sim.run_sharded(20_000, 1);
         let (local, remote) = sim.access_split();
         let frac = remote as f64 / (local + remote) as f64;
         // 3 of 4 nodes are remote.
@@ -469,8 +441,8 @@ mod tests {
         let p = by_name("libquantum").unwrap();
         let mut cable = NumaSim::new(p, Scheme::Cable(EngineKind::Lbe), 4);
         let mut cpack = NumaSim::new(p, Scheme::Baseline(BaselineKind::Cpack), 4);
-        cable.run(30_000);
-        cpack.run(30_000);
+        cable.run_sharded(30_000, 1);
+        cpack.run_sharded(30_000, 1);
         let rc = cable.combined_stats().compression_ratio();
         let rp = cpack.combined_stats().compression_ratio();
         assert!(rc > rp, "CABLE {rc} vs CPACK {rp}");
@@ -481,7 +453,7 @@ mod tests {
         // mcf touches enough distinct lines to overflow each link's 16K-line
         // remote share, evicting dirty lines that must write back.
         let mut sim = NumaSim::new(by_name("mcf").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
-        sim.run(100_000);
+        sim.run_sharded(100_000, 1);
         assert!(sim.combined_stats().writebacks > 0);
     }
 
@@ -492,7 +464,7 @@ mod tests {
         let mut ratios = Vec::new();
         for nodes in [2usize, 4, 8] {
             let mut sim = NumaSim::new(p, Scheme::Cable(EngineKind::Lbe), nodes);
-            sim.run(30_000);
+            sim.run_sharded(30_000, 1);
             ratios.push(sim.combined_stats().compression_ratio());
         }
         let min = ratios.iter().cloned().fold(f64::MAX, f64::min);
@@ -506,7 +478,7 @@ mod tests {
         let mut sim = NumaSim::new(by_name("gcc").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
         let tel = Telemetry::enabled();
         sim.set_telemetry(tel.clone());
-        sim.run(2_000);
+        sim.run_sharded(2_000, 1);
         assert_eq!(sim.now_ps(), 2_000 * NUMA_OP_PITCH_PS);
         let events = tel.events();
         assert!(!events.is_empty(), "remote traffic must trace events");

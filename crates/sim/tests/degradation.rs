@@ -222,7 +222,7 @@ fn numa_links_arm_faults_and_degrade() {
         4,
         &cfg,
     );
-    sim.run(30_000);
+    sim.run_sharded(30_000, 1);
     let fs = sim.fault_stats().expect("fault mode armed");
     assert!(fs.injected_frames > 0, "schedules must fire");
     assert_eq!(fs.recovered, fs.detected);
@@ -238,7 +238,7 @@ fn numa_links_arm_faults_and_degrade() {
 #[test]
 fn numa_without_config_stays_fault_blind() {
     let mut sim = NumaSim::new(by_name("gcc").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
-    sim.run(5_000);
+    sim.run_sharded(5_000, 1);
     assert!(sim.fault_stats().is_none());
     assert!(sim.degradation_stats().is_none());
     assert!(sim

@@ -171,7 +171,7 @@ fn numa_study_records_one_sample_per_remote_access() {
     let mut sim = NumaSim::new(by_name("gcc").unwrap(), Scheme::Cable(EngineKind::Lbe), 4);
     let tel = Telemetry::enabled();
     sim.set_telemetry(tel.clone());
-    sim.run(20_000);
+    sim.run_sharded(20_000, 1);
     assert_eq!(assert_exact_decomposition(&tel, "numa"), 1);
     let (_, remote) = sim.access_split();
     let totals = stage_totals(&tel);

@@ -4,8 +4,8 @@
 //! to the single-threaded event loop for every worker count — results,
 //! per-pipeline `LinkStats`, shared-resource busy time, DRAM access
 //! counts, and fault-mode frames. These property tests sweep worker
-//! counts {1, 2, 4, 8} against both in-tree oracles (the event-driven
-//! `run` and the seed linear scan `run_linear`) over randomized
+//! counts {1, 2, 4, 8} against the in-tree oracles (the seed linear scan
+//! `run_linear`, plus the event-driven `FabricSim::run`) over randomized
 //! topologies, schemes, bandwidths, and fault schedules.
 
 use cable_common::SplitMix64;
@@ -186,17 +186,6 @@ proptest! {
             sim.run_linear(accesses);
             (sim.combined_stats(), sim.access_split(), sim.now_ps())
         };
-        let event = {
-            let mut sim = NumaSim::new(profile, scheme, nodes);
-            sim.run(accesses);
-            (sim.combined_stats(), sim.access_split(), sim.now_ps())
-        };
-        assert_eq!(
-            (oracle_stats, oracle_split, oracle_now),
-            event,
-            "{}/{scheme:?}/{nodes}n: event core vs seed loop",
-            profile.name
-        );
         for workers in WORKER_SWEEP {
             let mut sim = NumaSim::new(profile, scheme, nodes);
             sim.run_sharded(accesses, workers);
@@ -212,7 +201,7 @@ proptest! {
     #[test]
     fn prop_numa_sharded_with_degradation_matches_oracles(seed in any::<u64>()) {
         // NUMA controllers sample per-link op counts; fault schedules and
-        // ladder state must agree across run / run_linear / run_sharded.
+        // ladder state must agree between run_linear and run_sharded.
         let mut rng = SplitMix64::new(seed);
         let profile = profile_for(rng.next_u64());
         let nodes = 2 + (rng.next_bounded(4) as usize); // 2..=5
@@ -244,12 +233,6 @@ proptest! {
             sim.run_linear(accesses);
             digest(&sim)
         };
-        let event = {
-            let mut sim = build();
-            sim.run(accesses);
-            digest(&sim)
-        };
-        assert_eq!(oracle, event, "{}/{nodes}n: event core vs seed loop", profile.name);
         for workers in WORKER_SWEEP {
             let mut sim = build();
             sim.run_sharded(accesses, workers);
@@ -445,7 +428,7 @@ fn numa_sharded_telemetry_matches_sequential_run_exactly() {
         sim.set_telemetry(tel.clone());
         match workers {
             Some(w) => sim.run_sharded(3_000, w),
-            None => sim.run(3_000),
+            None => sim.run_linear(3_000),
         }
         tel.events()
             .iter()

@@ -2,10 +2,11 @@
 //! exporters share.
 //!
 //! The exporters hand-roll their JSON (the workspace takes no external
-//! crates), and three consumers read it back: `Report::from_jsonl`,
-//! `Report::from_report_json`, and the validators the CLI, the test
-//! suite and CI use to check that an export actually parses. All three
-//! go through `parse`, a strict RFC 8259 recursive-descent parser:
+//! crates), and four consumers read it back: `Report::from_jsonl`,
+//! `Report::from_report_json`, the validators the CLI, the test suite and
+//! CI use to check that an export actually parses, and the figure loader
+//! in `cable-bench`. All four go through [`parse`], a strict RFC 8259
+//! recursive-descent parser:
 //!
 //! - **strict** — it accepts exactly well-formed JSON text (no leading
 //!   zeros, no bare `1.`/`1e`, no raw control bytes in strings) and
@@ -26,14 +27,18 @@ pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value borrowing its strings from the input text.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Value<'a> {
+pub enum Value<'a> {
+    /// `null`.
     Null,
+    /// `true` or `false`.
     Bool(bool),
     /// A non-negative integer that fits in `u64`.
     Int(u64),
     /// Every other number (negative, fractional, exponent, or too large).
     Float(f64),
+    /// A string, borrowed from the input unless it held escapes.
     Str(Cow<'a, str>),
+    /// An array.
     Arr(Vec<Value<'a>>),
     /// Members in input order, duplicates kept.
     Obj(Vec<(Cow<'a, str>, Value<'a>)>),
@@ -43,14 +48,17 @@ impl Value<'_> {
     /// First value under `key` (exported event lines can legally repeat
     /// a key — e.g. marker events carry their own `"name"` argument —
     /// and the schema field always comes first).
-    pub(crate) fn get(&self, key: &str) -> Option<&Self> {
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Self> {
         match self {
             Value::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    pub(crate) fn as_str(&self) -> Option<&str> {
+    /// The value as a string slice, if it is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -80,9 +88,9 @@ impl Value<'_> {
 /// # Errors
 ///
 /// Returns a message naming the byte offset and nature of the first
-/// syntax violation, or of the first object or array nested deeper than
-/// [`MAX_DEPTH`].
-pub(crate) fn parse(s: &str) -> Result<Value<'_>, String> {
+/// syntax violation, or of the first object or array nested more than
+/// 128 deep.
+pub fn parse(s: &str) -> Result<Value<'_>, String> {
     let mut p = Parser {
         text: s,
         bytes: s.as_bytes(),

@@ -29,7 +29,7 @@ fn main() {
         Scheme::Cable(EngineKind::Lbe),
     ] {
         let mut sim = NumaSim::new(profile, scheme, nodes);
-        sim.run(120_000);
+        sim.run_sharded(120_000, 1);
         let s = sim.combined_stats();
         let (local, remote) = sim.access_split();
         println!(
