@@ -4,8 +4,9 @@
 //! These measure the *host* cost of the model (lines/second of simulation),
 //! not the modelled hardware latency — Table IV cycle counts cover that.
 
-use cable_common::{Address, LineData, SplitMix64};
+use cable_common::{Address, BitWriter, LineData, SplitMix64};
 use cable_compress::{Bdi, Compressor, Cpack, EngineKind, Lbe, Lzss, Oracle, SeededCompressor};
+use cable_core::codec::{ParsedPayload, PayloadCodec};
 use cable_core::{CableConfig, CableLink};
 use cable_trace::WorkloadGen;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -81,17 +82,47 @@ fn bench_seeded(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("seeded_diff");
     group.throughput(Throughput::Bytes(64));
-    group.bench_function("lbe", |b| {
-        let engine = Lbe::seeded();
-        b.iter(|| engine.compress_seeded(&refs, &target).len_bits());
-    });
-    group.bench_function("cpack128", |b| {
-        let engine = Cpack::seeded();
-        b.iter(|| engine.compress_seeded(&refs, &target).len_bits());
-    });
-    group.bench_function("oracle", |b| {
-        let engine = Oracle::new();
-        b.iter(|| engine.compress_seeded(&refs, &target).len_bits());
+    let engines: [(&str, Box<dyn SeededCompressor>); 3] = [
+        ("lbe", Box::new(Lbe::seeded())),
+        ("cpack128", Box::new(Cpack::seeded())),
+        ("oracle", Box::new(Oracle::new())),
+    ];
+    for (name, engine) in &engines {
+        // One reused writer, as a link reuses its DIFF buffer.
+        let mut out = BitWriter::new();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                out.clear();
+                engine.compress_seeded(&refs, &target, &mut out);
+                out.len_bits()
+            });
+        });
+    }
+    group.finish();
+}
+
+/// Framing plus in-place parsing of one DIFF payload: the per-transfer
+/// bitstream work a CABLE link does around the engine call.
+fn bench_payload_codec(c: &mut Criterion) {
+    let lines = test_lines(64, 1);
+    let refs = [lines[0], lines[1], lines[2]];
+    let mut target = lines[0];
+    target.set_word(5, 0x0123_4567);
+    let mut diff = BitWriter::new();
+    Lbe::seeded().compress_seeded(&refs, &target, &mut diff);
+    let codec = PayloadCodec::new(17, 16);
+    let mut frame = BitWriter::new();
+    let mut group = c.benchmark_group("payload_codec");
+    group.throughput(Throughput::Bytes(64));
+    group.bench_function("frame_and_parse_diff", |b| {
+        b.iter(|| {
+            frame.clear();
+            codec.encode_compressed(&[3, 0x1_0000, 42], &diff, &mut frame);
+            match codec.parse(frame.as_slice(), frame.len_bits()) {
+                Ok(ParsedPayload::Compressed { diff, .. }) => diff.remaining_bits(),
+                _ => unreachable!("a compressed frame parses as compressed"),
+            }
+        });
     });
     group.finish();
 }
@@ -166,6 +197,7 @@ criterion_group!(
     benches,
     bench_engines,
     bench_seeded,
+    bench_payload_codec,
     bench_link,
     bench_search
 );

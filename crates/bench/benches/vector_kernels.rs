@@ -113,7 +113,7 @@ fn bench_diff_encode(c: &mut Criterion) {
     let mut group = c.benchmark_group("diff_line_encode");
     group.throughput(Throughput::Bytes(64));
     group.bench_function("lbe_vectorized", |b| {
-        b.iter(|| engine.compress_seeded(&refs, &target).len_bits());
+        b.iter(|| engine.encode_seeded(&refs, &target).len_bits());
     });
     group.bench_function("lbe_scalar", |b| {
         b.iter(|| engine.compress_seeded_scalar(&refs, &target).len_bits());

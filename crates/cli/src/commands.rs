@@ -15,7 +15,10 @@ use cable_telemetry::{diff_reports, JsonlSink, Report, SloSpec, Telemetry, Trace
 use cable_trace::record::{record_synthetic, TraceReader, TraceRecord};
 use cable_trace::WorkloadGen;
 
-/// Usage text shown on errors and `cable help`.
+/// The one line printed after an error message, instead of the full usage.
+pub const USAGE_HINT: &str = "run 'cable help' for usage";
+
+/// Usage text shown by `cable help`.
 pub const USAGE: &str = "\
 usage: cable <command> [args]
 

@@ -19,8 +19,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprintln!("{}", commands::USAGE_HINT);
             ExitCode::FAILURE
         }
     }

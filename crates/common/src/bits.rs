@@ -7,7 +7,25 @@
 
 use std::fmt;
 
+/// Widest field one 8-byte window can take at any bit offset: a write or
+/// read starts at bit offset 0..=7 of its first byte, so 56 bits always fit
+/// the 64-bit window. Wider fields split in two.
+const WINDOW_BITS: u32 = 56;
+
+/// Size of a writer's first allocation: a raw payload frame (1 + 512 bits,
+/// 65 bytes) or the widest per-line engine payload (LBE's 16 wide literals,
+/// 70 bytes), plus the 8-byte write window, rounded up to 16 bytes. A
+/// reused writer then never grows on the link's reliable path.
+const MIN_STORE_BYTES: usize = 80;
+
 /// An append-only, MSB-first bit sink.
+///
+/// The backing store is zero past the used prefix, and every write makes
+/// sure 8 bytes exist from its first byte, so a field of up to 56 bits is a
+/// single unaligned big-endian read-modify-write (`OR` into the zero tail)
+/// instead of a per-byte loop. [`BitWriter::clear`] re-zeroes the used
+/// prefix and keeps the allocation, so a reused writer never allocates once
+/// it has grown to its working size.
 ///
 /// # Examples
 ///
@@ -23,16 +41,17 @@ use std::fmt;
 /// assert_eq!(r.read_bits(32), Some(0xdead_beef));
 /// assert_eq!(r.read_bits(1), None);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct BitWriter {
+    /// Used prefix (`bit_len.div_ceil(8)` bytes, zero-padded in the final
+    /// byte's low bits) followed by zero bytes only.
     bytes: Vec<u8>,
-    /// Number of valid bits in the final byte (0 means the last byte is full
-    /// or the stream is empty).
+    /// Total number of bits written.
     bit_len: usize,
 }
 
 impl BitWriter {
-    /// Creates an empty writer.
+    /// Creates an empty writer (no allocation until the first write).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -43,60 +62,35 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `count > 64`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, count: u32) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
+        if count > WINDOW_BITS {
+            self.write_bits(value >> 32, count - 32);
+            self.write_bits(value & 0xffff_ffff, 32);
+            return;
+        }
         if count == 0 {
             return;
         }
         // Mask to the low `count` bits so stray high bits cannot leak in.
-        let value = if count == 64 {
-            value
-        } else {
-            value & ((1u64 << count) - 1)
-        };
-        let mut remaining = count;
-        let offset = (self.bit_len % 8) as u32;
-        if offset != 0 {
-            // Top up the partial final byte.
-            let room = 8 - offset;
-            let take = room.min(remaining);
-            let chunk = ((value >> (remaining - take)) as u16 & ((1u16 << take) - 1)) as u8;
-            let last = self.bytes.last_mut().expect("partial byte exists");
-            *last |= chunk << (room - take);
-            self.bit_len += take as usize;
-            remaining -= take;
-        }
-        while remaining >= 8 {
-            remaining -= 8;
-            self.bytes.push((value >> remaining) as u8);
-            self.bit_len += 8;
-        }
-        if remaining > 0 {
-            let chunk = (value as u16 & ((1u16 << remaining) - 1)) as u8;
-            self.bytes.push(chunk << (8 - remaining));
-            self.bit_len += remaining as usize;
-        }
+        let value = value & ((1u64 << count) - 1);
+        let shift = 64 - (self.bit_len % 8) as u32 - count;
+        let window = self.window_mut(self.bit_len / 8);
+        *window = (u64::from_be_bytes(*window) | (value << shift)).to_be_bytes();
+        self.bit_len += count as usize;
     }
 
     /// Appends a single bit.
+    #[inline]
     pub fn write_bit(&mut self, bit: bool) {
         let offset = self.bit_len % 8;
-        if offset == 0 {
-            self.bytes.push(0);
-        }
-        if bit {
-            let last = self.bytes.last_mut().expect("just pushed");
-            *last |= 1 << (7 - offset);
-        }
+        self.window_mut(self.bit_len / 8)[0] |= u8::from(bit) << (7 - offset);
         self.bit_len += 1;
     }
 
     /// Appends the first `len_bits` bits of `bytes` (an MSB-first bitstream,
-    /// e.g. another writer's backing store), 64 bits per step.
-    ///
-    /// Equivalent to — and roughly an order of magnitude faster than —
-    /// re-reading the stream one bit at a time, which is what the payload
-    /// codec's DIFF embedding used to do.
+    /// e.g. another writer's backing store), 56 bits per step.
     ///
     /// # Panics
     ///
@@ -106,10 +100,10 @@ impl BitWriter {
         self.append_from_reader(&mut r);
     }
 
-    /// Drains every remaining bit of `r` into this writer, 64 bits per step.
+    /// Drains every remaining bit of `r` into this writer, 56 bits per step.
     pub fn append_from_reader(&mut self, r: &mut BitReader<'_>) {
         loop {
-            let take = r.remaining_bits().min(64) as u32;
+            let take = r.remaining_bits().min(WINDOW_BITS as usize) as u32;
             if take == 0 {
                 return;
             }
@@ -121,13 +115,24 @@ impl BitWriter {
     /// Appends whole bytes (8 bits each).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         if self.bit_len.is_multiple_of(8) {
-            self.bytes.extend_from_slice(bytes);
+            let start = self.bit_len / 8;
+            self.reserve_len(start + bytes.len());
+            self.bytes[start..start + bytes.len()].copy_from_slice(bytes);
             self.bit_len += bytes.len() * 8;
         } else {
-            for &b in bytes {
-                self.write_bits(u64::from(b), 8);
+            for chunk in bytes.chunks(7) {
+                let value = chunk.iter().fold(0u64, |v, &b| v << 8 | u64::from(b));
+                self.write_bits(value, 8 * chunk.len() as u32);
             }
         }
+    }
+
+    /// Empties the writer, re-zeroing the used prefix and keeping the
+    /// allocation for reuse.
+    pub fn clear(&mut self) {
+        let used = self.used_bytes();
+        self.bytes[..used].fill(0);
+        self.bit_len = 0;
     }
 
     /// Total number of bits written.
@@ -142,18 +147,65 @@ impl BitWriter {
         self.bit_len == 0
     }
 
-    /// Backing bytes; the last byte is zero-padded in its low bits.
+    /// The used bytes; the last byte is zero-padded in its low bits.
     #[must_use]
     pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes[..self.used_bytes()]
     }
 
-    /// Consumes the writer, returning the backing bytes.
+    /// Consumes the writer, returning the used bytes.
     #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.bytes.truncate(self.used_bytes());
         self.bytes
     }
+
+    /// A reader over the written bits. It sees the zero tail of the
+    /// backing store, so every read up to the last bit takes the one-load
+    /// fast path.
+    #[must_use]
+    pub fn reader(&self) -> BitReader<'_> {
+        BitReader::new(&self.bytes, self.bit_len)
+    }
+
+    fn used_bytes(&self) -> usize {
+        self.bit_len.div_ceil(8)
+    }
+
+    /// The 8-byte window starting at `byte`, growing the zero tail first
+    /// if the store is too short.
+    #[inline]
+    fn window_mut(&mut self, byte: usize) -> &mut [u8; 8] {
+        self.reserve_len(byte + 8);
+        (&mut self.bytes[byte..byte + 8])
+            .try_into()
+            .expect("8-byte window")
+    }
+
+    #[inline]
+    fn reserve_len(&mut self, len: usize) {
+        if self.bytes.len() < len {
+            self.grow(len);
+        }
+    }
+
+    /// Doubles the zero-filled store (at least to `len` bytes), so appends
+    /// reallocate a logarithmic number of times, as `Vec::push` would. The
+    /// first allocation already holds a whole raw payload frame.
+    #[cold]
+    fn grow(&mut self, len: usize) {
+        let new_len = len.max(2 * self.bytes.len()).max(MIN_STORE_BYTES);
+        self.bytes.resize(new_len, 0);
+    }
 }
+
+impl PartialEq for BitWriter {
+    fn eq(&self, other: &Self) -> bool {
+        self.bit_len == other.bit_len && self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for BitWriter {}
 
 impl fmt::Debug for BitWriter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -162,6 +214,11 @@ impl fmt::Debug for BitWriter {
 }
 
 /// An MSB-first bit source over a byte slice.
+///
+/// A read of up to 56 bits is one unaligned 8-byte big-endian load plus a
+/// shift whenever 8 bytes remain from the read position; near the end of
+/// the slice the remaining bytes are zero-padded into the same window.
+/// Bits past `len_bits` are never returned, whatever the slice holds there.
 ///
 /// See [`BitWriter`] for a round-trip example.
 #[derive(Clone)]
@@ -213,29 +270,49 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `count > 64`.
+    #[inline]
     pub fn read_bits(&mut self, count: u32) -> Option<u64> {
         assert!(count <= 64, "cannot read more than 64 bits at once");
         if self.pos + count as usize > self.len_bits {
             return None;
         }
-        let mut value = 0u64;
-        let mut remaining = count;
-        while remaining > 0 {
-            let byte = self.bytes[self.pos / 8];
-            let avail = 8 - (self.pos % 8) as u32;
-            let take = avail.min(remaining);
-            // Bits [8-avail, 8-avail+take) of the byte, MSB-first.
-            let chunk = (u16::from(byte >> (avail - take)) & ((1u16 << take) - 1)) as u8;
-            value = (value << take) | u64::from(chunk);
-            self.pos += take as usize;
-            remaining -= take;
+        if count > WINDOW_BITS {
+            let hi = self.read_bits(count - 32)?;
+            let lo = self.read_bits(32)?;
+            return Some(hi << 32 | lo);
         }
+        if count == 0 {
+            return Some(0);
+        }
+        let byte = self.pos / 8;
+        let word = match self.bytes.get(byte..byte + 8) {
+            Some(window) => u64::from_be_bytes(window.try_into().expect("8-byte window")),
+            None => {
+                let mut window = [0u8; 8];
+                let tail = &self.bytes[byte..];
+                window[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(window)
+            }
+        };
+        let value = (word << (self.pos % 8)) >> (64 - count);
+        self.pos += count as usize;
         Some(value)
     }
 
     /// Reads a single bit.
+    #[inline]
     pub fn read_bit(&mut self) -> Option<bool> {
         self.read_bits(1).map(|b| b == 1)
+    }
+
+    /// Advances past `count` bits without reading them. Returns `None` (and
+    /// stays put) if fewer than `count` bits remain.
+    pub fn skip_bits(&mut self, count: usize) -> Option<()> {
+        if count > self.remaining_bits() {
+            return None;
+        }
+        self.pos += count;
+        Some(())
     }
 
     /// Number of unread bits.
@@ -354,6 +431,221 @@ mod tests {
         assert_eq!(r.read_bits(3), Some(0b101));
     }
 
+    /// The byte-at-a-time writer and reader this module shipped before the
+    /// word-at-a-time rewrite, kept verbatim (minus docs) as the
+    /// specification the fast paths are checked against.
+    mod byte_oracle {
+        use super::BitReader as FastReader;
+
+        #[derive(Clone, Default, PartialEq, Eq, Debug)]
+        pub struct BitWriter {
+            bytes: Vec<u8>,
+            bit_len: usize,
+        }
+
+        impl BitWriter {
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            pub fn write_bits(&mut self, value: u64, count: u32) {
+                assert!(count <= 64, "cannot write more than 64 bits at once");
+                if count == 0 {
+                    return;
+                }
+                let value = if count == 64 {
+                    value
+                } else {
+                    value & ((1u64 << count) - 1)
+                };
+                let mut remaining = count;
+                let offset = (self.bit_len % 8) as u32;
+                if offset != 0 {
+                    let room = 8 - offset;
+                    let take = room.min(remaining);
+                    let chunk = ((value >> (remaining - take)) as u16 & ((1u16 << take) - 1)) as u8;
+                    let last = self.bytes.last_mut().expect("partial byte exists");
+                    *last |= chunk << (room - take);
+                    self.bit_len += take as usize;
+                    remaining -= take;
+                }
+                while remaining >= 8 {
+                    remaining -= 8;
+                    self.bytes.push((value >> remaining) as u8);
+                    self.bit_len += 8;
+                }
+                if remaining > 0 {
+                    let chunk = (value as u16 & ((1u16 << remaining) - 1)) as u8;
+                    self.bytes.push(chunk << (8 - remaining));
+                    self.bit_len += remaining as usize;
+                }
+            }
+
+            pub fn write_bit(&mut self, bit: bool) {
+                let offset = self.bit_len % 8;
+                if offset == 0 {
+                    self.bytes.push(0);
+                }
+                if bit {
+                    let last = self.bytes.last_mut().expect("just pushed");
+                    *last |= 1 << (7 - offset);
+                }
+                self.bit_len += 1;
+            }
+
+            pub fn append_bits(&mut self, bytes: &[u8], len_bits: usize) {
+                let mut r = BitReader::new(bytes, len_bits);
+                loop {
+                    let take = r.remaining_bits().min(64) as u32;
+                    if take == 0 {
+                        return;
+                    }
+                    let chunk = r.read_bits(take).expect("sized by remaining_bits");
+                    self.write_bits(chunk, take);
+                }
+            }
+
+            pub fn write_bytes(&mut self, bytes: &[u8]) {
+                if self.bit_len.is_multiple_of(8) {
+                    self.bytes.extend_from_slice(bytes);
+                    self.bit_len += bytes.len() * 8;
+                } else {
+                    for &b in bytes {
+                        self.write_bits(u64::from(b), 8);
+                    }
+                }
+            }
+
+            pub fn len_bits(&self) -> usize {
+                self.bit_len
+            }
+
+            pub fn as_slice(&self) -> &[u8] {
+                &self.bytes
+            }
+
+            pub fn into_bytes(self) -> Vec<u8> {
+                self.bytes
+            }
+        }
+
+        pub struct BitReader<'a> {
+            bytes: &'a [u8],
+            len_bits: usize,
+            pos: usize,
+        }
+
+        impl<'a> BitReader<'a> {
+            pub fn new(bytes: &'a [u8], len_bits: usize) -> Self {
+                assert!(len_bits <= bytes.len() * 8);
+                BitReader {
+                    bytes,
+                    len_bits,
+                    pos: 0,
+                }
+            }
+
+            pub fn read_bits(&mut self, count: u32) -> Option<u64> {
+                assert!(count <= 64, "cannot read more than 64 bits at once");
+                if self.pos + count as usize > self.len_bits {
+                    return None;
+                }
+                let mut value = 0u64;
+                let mut remaining = count;
+                while remaining > 0 {
+                    let byte = self.bytes[self.pos / 8];
+                    let avail = 8 - (self.pos % 8) as u32;
+                    let take = avail.min(remaining);
+                    let chunk = (u16::from(byte >> (avail - take)) & ((1u16 << take) - 1)) as u8;
+                    value = (value << take) | u64::from(chunk);
+                    self.pos += take as usize;
+                    remaining -= take;
+                }
+                Some(value)
+            }
+
+            pub fn remaining_bits(&self) -> usize {
+                self.len_bits - self.pos
+            }
+        }
+
+        /// Reads `widths` from a fast and an oracle reader in lockstep,
+        /// then reads past the end; both must agree on every value and on
+        /// `None`.
+        pub fn assert_same_reads(
+            fast: &mut FastReader<'_>,
+            slow: &mut BitReader<'_>,
+            widths: &[u32],
+        ) {
+            for &w in widths.iter().cycle().take(4 * widths.len()) {
+                let (f, s) = (fast.read_bits(w), slow.read_bits(w));
+                assert_eq!(f, s, "read_bits({w}) diverged");
+                assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+            }
+            while fast.remaining_bits() > 0 {
+                let w = fast.remaining_bits().min(64) as u32;
+                assert_eq!(fast.read_bits(w), slow.read_bits(w), "drain diverged");
+            }
+            assert_eq!(slow.remaining_bits(), 0);
+            for w in 1..=64 {
+                assert_eq!(fast.read_bits(w), None, "read past the end");
+                assert_eq!(slow.read_bits(w), None);
+            }
+        }
+    }
+
+    /// One random writer operation for the oracle proptests.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Bits(u64, u32),
+        Bit(bool),
+        Bytes(Vec<u8>),
+        Append(Vec<u8>, usize),
+        Clear,
+    }
+
+    fn op_from((kind, value, count, bytes): (u8, u64, u32, Vec<u8>)) -> Op {
+        match kind {
+            0..=3 => Op::Bits(value, count),
+            4 | 5 => Op::Bit(value & 1 == 1),
+            6 => Op::Bytes(bytes),
+            7 | 8 => {
+                let len = (value as usize) % (bytes.len() * 8 + 1);
+                Op::Append(bytes, len)
+            }
+            _ => Op::Clear,
+        }
+    }
+
+    /// Applies `ops` to a fast writer and to the oracle (a `Clear` resets
+    /// the fast writer in place and replaces the oracle with a fresh one).
+    fn apply(ops: &[Op], fast: &mut BitWriter, slow: &mut byte_oracle::BitWriter) {
+        for op in ops {
+            match op {
+                Op::Bits(v, c) => {
+                    fast.write_bits(*v, *c);
+                    slow.write_bits(*v, *c);
+                }
+                Op::Bit(b) => {
+                    fast.write_bit(*b);
+                    slow.write_bit(*b);
+                }
+                Op::Bytes(b) => {
+                    fast.write_bytes(b);
+                    slow.write_bytes(b);
+                }
+                Op::Append(b, len) => {
+                    fast.append_bits(b, *len);
+                    slow.append_bits(b, *len);
+                }
+                Op::Clear => {
+                    fast.clear();
+                    *slow = byte_oracle::BitWriter::new();
+                }
+            }
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
@@ -377,6 +669,62 @@ mod tests {
                     prop_assert_eq!(r.read_bits(width), Some(value & mask));
                 }
                 prop_assert_eq!(r.remaining_bits(), 0);
+            }
+
+            /// Random op sequences (including `clear`-then-reuse) leave the
+            /// word-at-a-time writer byte-identical to the byte-at-a-time
+            /// oracle, and both readers agree on every read, the fast one
+            /// over the used prefix (tail path) and over the zero-padded
+            /// store (window path).
+            #[test]
+            fn prop_writer_and_reader_match_byte_oracle(
+                raw_ops in proptest::collection::vec(
+                    (0u8..10, any::<u64>(), 0u32..=64, proptest::collection::vec(any::<u8>(), 0..12)),
+                    0..48,
+                ),
+                widths in proptest::collection::vec(0u32..=64, 1..16),
+            ) {
+                let ops: Vec<Op> = raw_ops.into_iter().map(op_from).collect();
+                let mut fast = BitWriter::new();
+                let mut slow = byte_oracle::BitWriter::new();
+                apply(&ops, &mut fast, &mut slow);
+                prop_assert_eq!(fast.len_bits(), slow.len_bits());
+                prop_assert_eq!(fast.as_slice(), slow.as_slice());
+
+                let mut oracle_reader = byte_oracle::BitReader::new(slow.as_slice(), slow.len_bits());
+                byte_oracle::assert_same_reads(
+                    &mut BitReader::new(fast.as_slice(), fast.len_bits()),
+                    &mut oracle_reader,
+                    &widths,
+                );
+                let mut oracle_reader = byte_oracle::BitReader::new(slow.as_slice(), slow.len_bits());
+                byte_oracle::assert_same_reads(&mut fast.reader(), &mut oracle_reader, &widths);
+
+                prop_assert_eq!(fast.into_bytes(), slow.into_bytes());
+            }
+
+            /// A writer reused through `clear` equals a fresh writer fed the
+            /// same ops: `clear` must re-zero every byte it had used, or the
+            /// `OR`-into-zero-tail writes would pick up stale bits.
+            #[test]
+            fn prop_reused_writer_matches_fresh(
+                first in proptest::collection::vec((any::<u64>(), 0u32..=64), 1..24),
+                second in proptest::collection::vec((any::<u64>(), 0u32..=64), 0..24),
+            ) {
+                let mut reused = BitWriter::new();
+                for &(v, c) in &first {
+                    reused.write_bits(v | 1 << 63, c);
+                }
+                reused.clear();
+                prop_assert!(reused.is_empty());
+                let mut fresh = BitWriter::new();
+                for &(v, c) in &second {
+                    reused.write_bits(v, c);
+                    fresh.write_bits(v, c);
+                }
+                prop_assert_eq!(&reused, &fresh);
+                prop_assert_eq!(reused.as_slice(), fresh.as_slice());
+                prop_assert_eq!(reused.into_bytes(), fresh.into_bytes());
             }
 
             /// The final byte's unused low bits are always zero (padding is

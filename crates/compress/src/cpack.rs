@@ -394,23 +394,20 @@ impl SeededCompressor for Cpack {
         "CPACK128"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         let mut scratch = self.clone();
         scratch.seed_dict(refs);
-        let mut out = BitWriter::new();
-        scratch.encode_line(line, &mut out);
-        Encoded::new(out)
+        scratch.encode_line(line, out);
     }
 
     fn decompress_seeded(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
         let mut scratch = self.clone();
         scratch.seed_dict(refs);
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
-        scratch.decode_line(&mut r)
+        scratch.decode_line(r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {
@@ -637,13 +634,10 @@ mod tests {
         let mut target = reference;
         target.set_word(3, 0x4444_9999);
         let engine = Cpack::seeded();
-        let seeded = engine.compress_seeded(&[reference], &target);
-        let unseeded = engine.compress_seeded(&[], &target);
+        let seeded = engine.encode_seeded(&[reference], &target);
+        let unseeded = engine.encode_seeded(&[], &target);
         assert!(seeded.len_bits() < unseeded.len_bits());
-        assert_eq!(
-            engine.decompress_seeded(&[reference], &seeded).unwrap(),
-            target
-        );
+        assert_eq!(engine.decode_seeded(&[reference], &seeded).unwrap(), target);
     }
 
     #[test]
@@ -718,8 +712,8 @@ mod tests {
             let engine = Cpack::seeded();
             let refs = [LineData::from_words(r0), LineData::from_words(r1)];
             let line = LineData::from_words(target);
-            let payload = engine.compress_seeded(&refs, &line);
-            prop_assert_eq!(engine.decompress_seeded(&refs, &payload).unwrap(), line);
+            let payload = engine.encode_seeded(&refs, &line);
+            prop_assert_eq!(engine.decode_seeded(&refs, &payload).unwrap(), line);
         }
 
         #[test]
@@ -746,7 +740,7 @@ mod tests {
             let engine = Cpack::seeded();
             let refs = [LineData::from_words(r0), LineData::from_words(r1)];
             let line = LineData::from_words(target);
-            let fast = engine.compress_seeded(&refs, &line);
+            let fast = engine.encode_seeded(&refs, &line);
             let slow = engine.compress_seeded_scalar(&refs, &line);
             prop_assert_eq!(fast.len_bits(), slow.len_bits());
             prop_assert_eq!(fast.as_bytes(), slow.as_bytes());

@@ -67,10 +67,10 @@ const LANE_WINDOW_WORDS: usize = 64;
 /// let reference = LineData::from_words(core::array::from_fn(|i| 0x1000 + i as u32));
 /// let mut target = reference;
 /// target.set_word(9, 0xffff);
-/// let payload = engine.compress_seeded(&[reference], &target);
+/// let payload = engine.encode_seeded(&[reference], &target);
 /// // One copy + one literal + one copy: far below the 512-bit raw size.
 /// assert!(payload.len_bits() < 100);
-/// assert_eq!(engine.decompress_seeded(&[reference], &payload).unwrap(), target);
+/// assert_eq!(engine.decode_seeded(&[reference], &payload).unwrap(), target);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Lbe {
@@ -131,8 +131,9 @@ impl Lbe {
     }
 
     /// Builds the seeded window (the FIFO suffix of the concatenated
-    /// reference words) without cloning the engine: in `stack` when it
-    /// fits, spilling to `heap` for oversized configurations.
+    /// reference words) by copying whole reference lines without cloning
+    /// the engine: in `stack` when it fits, spilling to `heap` for
+    /// oversized configurations.
     fn seeded_window<'a>(
         &self,
         refs: &[LineData],
@@ -142,22 +143,20 @@ impl Lbe {
         let total = refs.len() * WORDS_PER_LINE;
         let n = total.min(self.capacity_words);
         let skip = total - n;
-        let kept = refs
-            .iter()
-            .flat_map(LineData::words)
-            .enumerate()
-            .filter(|&(g, _)| g >= skip)
-            .map(|(_, w)| w);
-        if n <= LANE_WINDOW_WORDS {
-            for (slot, w) in stack.iter_mut().zip(kept) {
-                *slot = w;
-            }
-            &stack[..n]
+        let win = if n <= LANE_WINDOW_WORDS {
+            &mut stack[..n]
         } else {
-            heap.reserve(n);
-            heap.extend(kept);
-            heap
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        let mut at = 0;
+        for (k, line) in refs.iter().enumerate() {
+            let first = skip.saturating_sub(k * WORDS_PER_LINE).min(WORDS_PER_LINE);
+            let words = &line.to_words()[first..];
+            win[at..at + words.len()].copy_from_slice(words);
+            at += words.len();
         }
+        win
     }
 
     /// Scalar-oracle twin of [`Compressor::compress`]: same window update,
@@ -495,25 +494,22 @@ impl SeededCompressor for Lbe {
         "LBE"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         let mut stack = [0u32; LANE_WINDOW_WORDS];
         let mut heap = Vec::new();
         let win = self.seeded_window(refs, &mut stack, &mut heap);
-        let mut out = BitWriter::new();
-        encode_words(win, self.offset_bits(), &line.to_words(), &mut out);
-        Encoded::new(out)
+        encode_words(win, self.offset_bits(), &line.to_words(), out);
     }
 
     fn decompress_seeded(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
         let mut stack = [0u32; LANE_WINDOW_WORDS];
         let mut heap = Vec::new();
         let win = self.seeded_window(refs, &mut stack, &mut heap);
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
-        decode_words(win, self.offset_bits(), &mut r)
+        decode_words(win, self.offset_bits(), r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {
@@ -527,12 +523,30 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn seeded_window_is_the_fifo_suffix_of_the_references() {
+        let refs: Vec<LineData> = (0..5u32)
+            .map(|k| LineData::from_words(core::array::from_fn(|i| k << 8 | i as u32)))
+            .collect();
+        for window_bytes in [64, 128, 192, 256, 1024] {
+            let engine = Lbe::streaming(window_bytes);
+            for n in 0..=refs.len() {
+                let all: Vec<u32> = refs[..n].iter().flat_map(LineData::words).collect();
+                let keep = all.len().min(engine.capacity_words());
+                let mut stack = [0u32; LANE_WINDOW_WORDS];
+                let mut heap = Vec::new();
+                let win = engine.seeded_window(&refs[..n], &mut stack, &mut heap);
+                assert_eq!(win, &all[all.len() - keep..], "{window_bytes} B, {n} refs");
+            }
+        }
+    }
+
+    #[test]
     fn zero_line_is_one_run() {
         let engine = Lbe::seeded();
-        let payload = engine.compress_seeded(&[], &LineData::zeroed());
+        let payload = engine.encode_seeded(&[], &LineData::zeroed());
         assert_eq!(payload.len_bits(), 6); // one 00-code zero run of 16
         assert_eq!(
-            engine.decompress_seeded(&[], &payload).unwrap(),
+            engine.decode_seeded(&[], &payload).unwrap(),
             LineData::zeroed()
         );
     }
@@ -541,21 +555,21 @@ mod tests {
     fn splat_line_uses_repeat_run() {
         let engine = Lbe::seeded();
         let line = LineData::splat_word(0xdead_beef);
-        let payload = engine.compress_seeded(&[], &line);
+        let payload = engine.encode_seeded(&[], &line);
         // wide literal (35) + distance-1 repeat run of 15 (7).
         assert_eq!(payload.len_bits(), 42);
-        assert_eq!(engine.decompress_seeded(&[], &payload).unwrap(), line);
+        assert_eq!(engine.decode_seeded(&[], &payload).unwrap(), line);
     }
 
     #[test]
     fn exact_duplicate_is_one_copy() {
         let engine = Lbe::seeded();
         let reference = LineData::from_words(core::array::from_fn(|i| 0x100 + i as u32));
-        let payload = engine.compress_seeded(&[reference], &reference);
+        let payload = engine.encode_seeded(&[reference], &reference);
         // One copy command: 2 + 6 + 4 bits.
         assert_eq!(payload.len_bits(), 12);
         assert_eq!(
-            engine.decompress_seeded(&[reference], &payload).unwrap(),
+            engine.decode_seeded(&[reference], &payload).unwrap(),
             reference
         );
     }
@@ -566,11 +580,11 @@ mod tests {
         let reference = LineData::from_words(core::array::from_fn(|i| 0x100 + i as u32));
         let mut target = reference;
         target.set_word(7, 0x9999_9999);
-        let payload = engine.compress_seeded(&[reference], &target);
+        let payload = engine.encode_seeded(&[reference], &target);
         // copy(7) + wide literal + copy(8) = 12 + 35 + 12.
         assert_eq!(payload.len_bits(), 59);
         assert_eq!(
-            engine.decompress_seeded(&[reference], &payload).unwrap(),
+            engine.decode_seeded(&[reference], &payload).unwrap(),
             target
         );
     }
@@ -589,9 +603,9 @@ mod tests {
         }
         let target = LineData::from_words(words);
         let refs = [r0, r1, r2];
-        let payload = engine.compress_seeded(&refs, &target);
+        let payload = engine.encode_seeded(&refs, &target);
         assert_eq!(payload.len_bits(), 24); // two copies
-        assert_eq!(engine.decompress_seeded(&refs, &payload).unwrap(), target);
+        assert_eq!(engine.decode_seeded(&refs, &payload).unwrap(), target);
     }
 
     #[test]
@@ -632,7 +646,7 @@ mod tests {
         w.write_bit(false); // distance 1
         w.write_bits(3, RUN_BITS);
         let engine = Lbe::seeded();
-        assert!(engine.decompress_seeded(&[], &Encoded::new(w)).is_err());
+        assert!(engine.decode_seeded(&[], &Encoded::new(w)).is_err());
     }
 
     #[test]
@@ -645,19 +659,19 @@ mod tests {
         }
         let line = LineData::from_words(words);
         let engine = Lbe::seeded();
-        let payload = engine.compress_seeded(&[], &line);
+        let payload = engine.encode_seeded(&[], &line);
         assert_eq!(payload.len_bits(), 35 + 35 + 7);
-        assert_eq!(engine.decompress_seeded(&[], &payload).unwrap(), line);
+        assert_eq!(engine.decode_seeded(&[], &payload).unwrap(), line);
     }
 
     #[test]
     fn small_integers_use_short_literals() {
         let line = LineData::from_words(core::array::from_fn(|i| (i as u32 * 7 + 1) % 251));
         let engine = Lbe::seeded();
-        let payload = engine.compress_seeded(&[], &line);
+        let payload = engine.encode_seeded(&[], &line);
         // All words < 256: 16 x 11-bit literals (no runs in this sequence).
         assert!(payload.len_bits() <= 16 * 11);
-        assert_eq!(engine.decompress_seeded(&[], &payload).unwrap(), line);
+        assert_eq!(engine.decode_seeded(&[], &payload).unwrap(), line);
     }
 
     #[test]
@@ -667,7 +681,7 @@ mod tests {
         w.write_bits(10, 6);
         w.write_bits(0, RUN_BITS);
         let engine = Lbe::seeded();
-        assert!(engine.decompress_seeded(&[], &Encoded::new(w)).is_err());
+        assert!(engine.decode_seeded(&[], &Encoded::new(w)).is_err());
     }
 
     /// Lines whose word alphabet is tiny, so zero runs, repeats, and window
@@ -694,8 +708,8 @@ mod tests {
             let engine = Lbe::seeded();
             let refs = [LineData::from_words(r0), LineData::from_words(r1), LineData::from_words(r2)];
             let line = LineData::from_words(target);
-            let payload = engine.compress_seeded(&refs, &line);
-            prop_assert_eq!(engine.decompress_seeded(&refs, &payload).unwrap(), line);
+            let payload = engine.encode_seeded(&refs, &line);
+            prop_assert_eq!(engine.decode_seeded(&refs, &payload).unwrap(), line);
         }
 
         #[test]
@@ -716,7 +730,7 @@ mod tests {
         fn prop_never_worse_than_all_literals(target in proptest::array::uniform16(any::<u32>())) {
             let engine = Lbe::seeded();
             let line = LineData::from_words(target);
-            let payload = engine.compress_seeded(&[], &line);
+            let payload = engine.encode_seeded(&[], &line);
             prop_assert!(payload.len_bits() <= 16 * 35);
         }
 
@@ -728,7 +742,7 @@ mod tests {
             refs in proptest::collection::vec(clashy_line(), 0..=3),
         ) {
             let engine = Lbe::seeded();
-            let fast = engine.compress_seeded(&refs, &target);
+            let fast = engine.encode_seeded(&refs, &target);
             let slow = engine.compress_seeded_scalar(&refs, &target);
             prop_assert_eq!(fast.len_bits(), slow.len_bits());
             prop_assert_eq!(fast.as_bytes(), slow.as_bytes());

@@ -61,7 +61,7 @@ pub use lzss::Lzss;
 pub use oracle::Oracle;
 pub use zce::Zce;
 
-use cable_common::{BitWriter, LineData, LINE_BYTES};
+use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
 use std::error::Error;
 use std::fmt;
 
@@ -88,6 +88,18 @@ impl Encoded {
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         self.bits.as_slice()
+    }
+
+    /// The payload bitstream.
+    #[must_use]
+    pub fn bits(&self) -> &BitWriter {
+        &self.bits
+    }
+
+    /// A reader positioned at the first payload bit.
+    #[must_use]
+    pub fn reader(&self) -> BitReader<'_> {
+        self.bits.reader()
     }
 
     /// Compression ratio versus a raw 64-byte line
@@ -204,15 +216,24 @@ impl Clone for Box<dyn Decompressor + Send> {
 
 /// A stateless engine that compresses one line against a temporary
 /// dictionary seeded from reference lines (CABLE's §III-E mode).
+///
+/// Encode appends to a caller-owned [`BitWriter`] and decode reads from a
+/// caller-positioned [`BitReader`], so a link that reuses its writers and
+/// parses frames in place runs the codec without allocating.
+/// [`SeededCompressor::encode_seeded`] and
+/// [`SeededCompressor::decode_seeded`] are the one-shot forms over
+/// [`Encoded`] payloads.
 pub trait SeededCompressor {
     /// Short engine name (e.g. `CABLE+LBE` reports `"LBE"` here).
     fn name(&self) -> &'static str;
 
-    /// Compresses `line` against a dictionary built from `refs` (up to three
-    /// 64-byte reference lines; may be empty for the unseeded fallback).
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded;
+    /// Appends the encoding of `line` against a dictionary built from
+    /// `refs` (up to three 64-byte reference lines; may be empty for the
+    /// unseeded fallback) to `out`.
+    fn compress_seeded(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter);
 
-    /// Inverse of [`SeededCompressor::compress_seeded`] given identical refs.
+    /// Inverse of [`SeededCompressor::compress_seeded`] given identical
+    /// refs: decodes one line from `r`, leaving it just past the payload.
     ///
     /// # Errors
     ///
@@ -220,8 +241,24 @@ pub trait SeededCompressor {
     fn decompress_seeded(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError>;
+
+    /// [`SeededCompressor::compress_seeded`] into a fresh payload.
+    fn encode_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+        let mut out = BitWriter::new();
+        self.compress_seeded(refs, line, &mut out);
+        Encoded::new(out)
+    }
+
+    /// [`SeededCompressor::decompress_seeded`] over a whole payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError`] if the payload is malformed or truncated.
+    fn decode_seeded(&self, refs: &[LineData], payload: &Encoded) -> Result<LineData, DecodeError> {
+        self.decompress_seeded(refs, &mut payload.reader())
+    }
 
     /// Boxed deep copy (seeded engines hold only configuration, but links
     /// snapshot them uniformly with the streaming engines).
@@ -305,8 +342,8 @@ mod tests {
         for kind in EngineKind::ALL {
             let engine = kind.build();
             let line = LineData::splat_word(0x1234_5678);
-            let payload = engine.compress_seeded(&[], &line);
-            let back = engine.decompress_seeded(&[], &payload).unwrap();
+            let payload = engine.encode_seeded(&[], &line);
+            let back = engine.decode_seeded(&[], &payload).unwrap();
             assert_eq!(back, line, "{kind} failed unseeded round trip");
         }
     }

@@ -274,23 +274,20 @@ impl SeededCompressor for Lzss {
         "gzip"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         let mut scratch = Lzss::new(self.window_bytes);
         scratch.seed(refs);
-        let mut out = BitWriter::new();
-        scratch.encode_line(line, &mut out);
-        Encoded::new(out)
+        scratch.encode_line(line, out);
     }
 
     fn decompress_seeded(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
         let mut scratch = Lzss::new(self.window_bytes);
         scratch.seed(refs);
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
-        scratch.decode_line(&mut r)
+        scratch.decode_line(r)
     }
 
     fn clone_box(&self) -> Box<dyn SeededCompressor + Send + Sync> {
@@ -372,10 +369,10 @@ mod tests {
         shifted[1..].copy_from_slice(&base[..63]);
         shifted[0] = 0x55;
         let target = LineData::from_bytes(shifted);
-        let payload = engine.compress_seeded(&[reference], &target);
+        let payload = engine.encode_seeded(&[reference], &target);
         assert!(payload.len_bits() <= 9 + 24);
         assert_eq!(
-            engine.decompress_seeded(&[reference], &payload).unwrap(),
+            engine.decode_seeded(&[reference], &payload).unwrap(),
             target
         );
     }
@@ -434,8 +431,8 @@ mod tests {
             r.copy_from_slice(&reference);
             let line = LineData::from_bytes(t);
             let refs = [LineData::from_bytes(r)];
-            let payload = engine.compress_seeded(&refs, &line);
-            prop_assert_eq!(engine.decompress_seeded(&refs, &payload).unwrap(), line);
+            let payload = engine.encode_seeded(&refs, &line);
+            prop_assert_eq!(engine.decode_seeded(&refs, &payload).unwrap(), line);
         }
     }
 }

@@ -22,7 +22,7 @@
 //! than the word-aligned engine, and far better whenever byte shifts or
 //! unaligned duplicates exist.
 
-use crate::{DecodeError, Encoded, Lbe, SeededCompressor};
+use crate::{DecodeError, Lbe, SeededCompressor};
 use cable_common::{BitReader, BitWriter, LineData, LINE_BYTES};
 
 const MIN_MATCH: usize = 2;
@@ -46,9 +46,9 @@ const MAX_REFS: usize = 3;
 /// let mut shifted = [0u8; 64];
 /// shifted[1..].copy_from_slice(&reference.as_bytes()[..63]);
 /// let target = LineData::from_bytes(shifted);
-/// let payload = engine.compress_seeded(&[reference], &target);
+/// let payload = engine.encode_seeded(&[reference], &target);
 /// assert!(payload.len_bits() <= 9 + 15 + 15);
-/// assert_eq!(engine.decompress_seeded(&[reference], &payload).unwrap(), target);
+/// assert_eq!(engine.decode_seeded(&[reference], &payload).unwrap(), target);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Oracle;
@@ -166,48 +166,36 @@ impl SeededCompressor for Oracle {
         "ORACLE"
     }
 
-    fn compress_seeded(&self, refs: &[LineData], line: &LineData) -> Encoded {
+    fn compress_seeded(&self, refs: &[LineData], line: &LineData, out: &mut BitWriter) {
         assert!(
             refs.len() <= MAX_REFS,
             "oracle supports at most {MAX_REFS} references"
         );
         let byte_coding = Self::compress_bytes(refs, line);
-        let word_coding = Lbe::seeded().compress_seeded(refs, line);
-        let mut out = BitWriter::new();
-        if byte_coding.len_bits() <= word_coding.len_bits() {
-            out.write_bit(false); // byte mode
-            let mut r = BitReader::new(byte_coding.as_slice(), byte_coding.len_bits());
-            while let Some(bit) = r.read_bit() {
-                out.write_bit(bit);
-            }
+        let mut word_coding = BitWriter::new();
+        Lbe::seeded().compress_seeded(refs, line, &mut word_coding);
+        let word_mode = word_coding.len_bits() < byte_coding.len_bits();
+        let winner = if word_mode {
+            &word_coding
         } else {
-            out.write_bit(true); // word (LBE) mode
-            let mut r = BitReader::new(word_coding.as_bytes(), word_coding.len_bits());
-            while let Some(bit) = r.read_bit() {
-                out.write_bit(bit);
-            }
-        }
-        Encoded::new(out)
+            &byte_coding
+        };
+        out.write_bit(word_mode);
+        out.append_bits(winner.as_slice(), winner.len_bits());
     }
 
     fn decompress_seeded(
         &self,
         refs: &[LineData],
-        payload: &Encoded,
+        r: &mut BitReader<'_>,
     ) -> Result<LineData, DecodeError> {
-        let mut r = BitReader::new(payload.as_bytes(), payload.len_bits());
         let word_mode = r
             .read_bit()
             .ok_or_else(|| DecodeError::new("missing oracle mode bit"))?;
         if word_mode {
-            // Re-frame the remaining bits for the LBE decoder.
-            let mut inner = BitWriter::new();
-            while let Some(bit) = r.read_bit() {
-                inner.write_bit(bit);
-            }
-            Lbe::seeded().decompress_seeded(refs, &Encoded::new(inner))
+            Lbe::seeded().decompress_seeded(refs, r)
         } else {
-            Self::decompress_bytes(refs, &mut r)
+            Self::decompress_bytes(refs, r)
         }
     }
 
@@ -219,17 +207,18 @@ impl SeededCompressor for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Encoded;
     use proptest::prelude::*;
 
     #[test]
     fn exact_duplicate_is_one_token() {
         let engine = Oracle::new();
         let reference = LineData::from_bytes(core::array::from_fn(|i| (i * 7) as u8));
-        let payload = engine.compress_seeded(&[reference], &reference);
+        let payload = engine.encode_seeded(&[reference], &reference);
         // mode bit + LBE's 12-bit exact copy beats the 15-bit byte token.
         assert_eq!(payload.len_bits(), 13);
         assert_eq!(
-            engine.decompress_seeded(&[reference], &payload).unwrap(),
+            engine.decode_seeded(&[reference], &payload).unwrap(),
             reference
         );
     }
@@ -247,26 +236,23 @@ mod tests {
         t.copy_from_slice(&cat[5..69]);
         let target = LineData::from_bytes(t);
         let engine = Oracle::new();
-        let payload = engine.compress_seeded(&[r0, r1], &target);
+        let payload = engine.encode_seeded(&[r0, r1], &target);
         assert_eq!(
             payload.len_bits(),
             16,
             "mode bit + one 64-byte unaligned copy"
         );
-        assert_eq!(
-            engine.decompress_seeded(&[r0, r1], &payload).unwrap(),
-            target
-        );
+        assert_eq!(engine.decode_seeded(&[r0, r1], &payload).unwrap(), target);
     }
 
     #[test]
     fn zero_line_without_refs_uses_overlap_run() {
         let engine = Oracle::new();
-        let payload = engine.compress_seeded(&[], &LineData::zeroed());
+        let payload = engine.encode_seeded(&[], &LineData::zeroed());
         // mode bit + LBE's 6-bit zero run wins over the byte coding.
         assert_eq!(payload.len_bits(), 7);
         assert_eq!(
-            engine.decompress_seeded(&[], &payload).unwrap(),
+            engine.decode_seeded(&[], &payload).unwrap(),
             LineData::zeroed()
         );
     }
@@ -284,8 +270,8 @@ mod tests {
         shifted[1..].copy_from_slice(&base[..63]);
         shifted[0] = 0x7;
         let target = LineData::from_bytes(shifted);
-        let oracle = Oracle::new().compress_seeded(&[reference], &target);
-        let lbe = Lbe::seeded().compress_seeded(&[reference], &target);
+        let oracle = Oracle::new().encode_seeded(&[reference], &target);
+        let lbe = Lbe::seeded().encode_seeded(&[reference], &target);
         assert!(
             oracle.len_bits() * 4 < lbe.len_bits(),
             "oracle {} vs lbe {}",
@@ -298,7 +284,7 @@ mod tests {
     #[should_panic(expected = "at most 3 references")]
     fn too_many_refs_rejected() {
         let refs = [LineData::zeroed(); 4];
-        let _ = Oracle::new().compress_seeded(&refs, &LineData::zeroed());
+        let _ = Oracle::new().encode_seeded(&refs, &LineData::zeroed());
     }
 
     #[test]
@@ -308,7 +294,7 @@ mod tests {
         w.write_bits(200, OFF_BITS);
         w.write_bits(0, LEN_BITS);
         let engine = Oracle::new();
-        assert!(engine.decompress_seeded(&[], &Encoded::new(w)).is_err());
+        assert!(engine.decode_seeded(&[], &Encoded::new(w)).is_err());
     }
 
     proptest! {
@@ -328,8 +314,8 @@ mod tests {
             };
             let refs = [to_line(&r0), to_line(&r1), to_line(&r2)];
             let line = to_line(&target);
-            let payload = engine.compress_seeded(&refs, &line);
-            prop_assert_eq!(engine.decompress_seeded(&refs, &payload).unwrap(), line);
+            let payload = engine.encode_seeded(&refs, &line);
+            prop_assert_eq!(engine.decode_seeded(&refs, &payload).unwrap(), line);
         }
 
         #[test]
@@ -339,7 +325,7 @@ mod tests {
             let mut a = [0u8; 64];
             a.copy_from_slice(&target);
             let line = LineData::from_bytes(a);
-            let payload = Oracle::new().compress_seeded(&[], &line);
+            let payload = Oracle::new().encode_seeded(&[], &line);
             prop_assert!(payload.len_bits() <= 64 * 9);
         }
     }

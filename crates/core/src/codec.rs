@@ -14,7 +14,7 @@
 
 use crate::DecodeError;
 use cable_common::{crc32, div_ceil, BitReader, BitWriter, Crc32, LineData, LINE_BYTES};
-use cable_compress::{DecodeErrorKind, Encoded};
+use cable_compress::DecodeErrorKind;
 
 /// Integrity metadata appended to each guarded wire frame: a 32-bit
 /// end-to-end CRC of the decoded line plus a 32-bit CRC of the frame bits
@@ -22,27 +22,36 @@ use cable_compress::{DecodeErrorKind, Encoded};
 /// reliable-link accounting is unchanged.
 pub const GUARD_BITS: usize = 64;
 
-/// CRC-32 over a bitstream: the bit length (as 8 little-endian bytes) is
-/// folded in first so truncations that land on a byte boundary still change
-/// the checksum.
+/// CRC-32 over the first `len_bits` bits of a bitstream, as if the final
+/// partial byte were zero-padded: the bit length (as 8 little-endian bytes)
+/// is folded in first so truncations that land on a byte boundary still
+/// change the checksum. Bits past `len_bits` (a received frame's trailing
+/// CRC field, say) do not contribute.
 fn crc32_bits(bytes: &[u8], len_bits: usize) -> u32 {
     let mut crc = Crc32::new();
     crc.update(&(len_bits as u64).to_le_bytes());
-    crc.update(&bytes[..div_ceil(len_bits as u64, 8) as usize]);
+    let full = len_bits / 8;
+    crc.update(&bytes[..full]);
+    let tail = len_bits % 8;
+    if tail != 0 {
+        crc.update(&[bytes[full] & !(0xff >> tail)]);
+    }
     crc.finish()
 }
 
-/// A parsed incoming payload.
+/// A parsed incoming payload: a view into the frame it was parsed from.
 #[derive(Clone, Debug)]
-pub enum ParsedPayload {
+pub enum ParsedPayload<'a> {
     /// Uncompressed 64-byte line.
     Raw(LineData),
     /// Compressed: packed wire LineIDs of the references plus the DIFF.
     Compressed {
-        /// Packed RemoteLIDs (empty for the unseeded fallback).
-        ref_lids: Vec<u64>,
-        /// The variable-length DIFF bitstream.
-        diff: Encoded,
+        /// Packed RemoteLIDs; the first `count` are the references.
+        lids: [u64; 3],
+        /// Number of references (0 for the unseeded fallback).
+        count: usize,
+        /// Reader over the frame, positioned at the first DIFF bit.
+        diff: BitReader<'a>,
     },
 }
 
@@ -82,17 +91,15 @@ impl PayloadCodec {
         self.link_width_bits
     }
 
-    /// Frames a compressed payload (`flag=1`, 2-bit count, RemoteLIDs,
-    /// DIFF).
+    /// Appends a compressed payload frame (`flag=1`, 2-bit count,
+    /// RemoteLIDs, DIFF) to `w`.
     ///
     /// # Panics
     ///
     /// Panics if more than 3 references are supplied or a packed LineID
     /// does not fit `lid_bits`.
-    #[must_use]
-    pub fn encode_compressed(&self, ref_lids: &[u64], diff: &Encoded) -> BitWriter {
+    pub fn encode_compressed(&self, ref_lids: &[u64], diff: &BitWriter, w: &mut BitWriter) {
         assert!(ref_lids.len() <= 3, "at most 3 references (2-bit count)");
-        let mut w = BitWriter::new();
         w.write_bit(true);
         w.write_bits(ref_lids.len() as u64, 2);
         for &lid in ref_lids {
@@ -103,27 +110,30 @@ impl PayloadCodec {
             );
             w.write_bits(lid, self.lid_bits);
         }
-        // 64-bit chunked embed; the header is 3 + n*lid_bits so the copy is
-        // rarely aligned, but chunking still beats a per-bit loop ~8x.
-        w.append_bits(diff.as_bytes(), diff.len_bits());
-        w
+        // Word-chunked embed; the header is 3 + n*lid_bits so the copy is
+        // rarely aligned.
+        w.append_from_reader(&mut diff.reader());
     }
 
-    /// Frames an uncompressed payload (`flag=0`, 512 raw bits).
-    #[must_use]
-    pub fn encode_raw(&self, line: &LineData) -> BitWriter {
-        let mut w = BitWriter::new();
+    /// Appends an uncompressed payload frame (`flag=0`, 512 raw bits) to
+    /// `w`.
+    pub fn encode_raw(&self, line: &LineData, w: &mut BitWriter) {
         w.write_bit(false);
         w.write_bytes(line.as_bytes());
-        w
     }
 
-    /// Parses a payload produced by the encode methods.
+    /// Parses the first `len_bits` bits of `bytes` as a payload produced by
+    /// the encode methods, in place: a compressed payload comes back as its
+    /// reference pointers plus a reader positioned at the DIFF.
     ///
     /// # Errors
     ///
     /// Returns [`DecodeError`] if the payload is truncated.
-    pub fn parse(&self, bytes: &[u8], len_bits: usize) -> Result<ParsedPayload, DecodeError> {
+    pub fn parse<'a>(
+        &self,
+        bytes: &'a [u8],
+        len_bits: usize,
+    ) -> Result<ParsedPayload<'a>, DecodeError> {
         let truncated = |what: &str| DecodeError::with_kind(DecodeErrorKind::Truncated, what);
         let mut r = BitReader::try_new(bytes, len_bits)
             .ok_or_else(|| truncated("payload length exceeds delivered bytes"))?;
@@ -143,18 +153,17 @@ impl PayloadCodec {
         let count = r
             .read_bits(2)
             .ok_or_else(|| truncated("truncated reference count"))?;
-        let mut ref_lids = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            ref_lids.push(
-                r.read_bits(self.lid_bits)
-                    .ok_or_else(|| truncated("truncated RemoteLID"))?,
-            );
+        let count = count as usize;
+        let mut lids = [0u64; 3];
+        for lid in &mut lids[..count] {
+            *lid = r
+                .read_bits(self.lid_bits)
+                .ok_or_else(|| truncated("truncated RemoteLID"))?;
         }
-        let mut diff = BitWriter::new();
-        diff.append_from_reader(&mut r);
         Ok(ParsedPayload::Compressed {
-            ref_lids,
-            diff: Encoded::new(diff),
+            lids,
+            count,
+            diff: r,
         })
     }
 
@@ -177,9 +186,9 @@ impl PayloadCodec {
         w
     }
 
-    /// Verifies and unwraps a guarded frame, returning the parsed payload
-    /// and the sender's end-to-end line CRC (to be checked against the
-    /// decoded line).
+    /// Verifies and unwraps a guarded frame in place, returning the parsed
+    /// payload (a view into `bytes`) and the sender's end-to-end line CRC
+    /// (to be checked against the decoded line).
     ///
     /// Never panics on arbitrary input: any truncation, length overrun, or
     /// corruption surfaces as a typed [`DecodeError`].
@@ -191,11 +200,11 @@ impl PayloadCodec {
     /// [`DecodeErrorKind::BadFrameCrc`] if the frame checksum fails; any
     /// [`PayloadCodec::parse`] error for a malformed (but checksum-valid)
     /// payload.
-    pub fn parse_guarded(
+    pub fn parse_guarded<'a>(
         &self,
-        bytes: &[u8],
+        bytes: &'a [u8],
         len_bits: usize,
-    ) -> Result<(ParsedPayload, u32), DecodeError> {
+    ) -> Result<(ParsedPayload<'a>, u32), DecodeError> {
         if len_bits <= GUARD_BITS {
             return Err(DecodeError::with_kind(
                 DecodeErrorKind::Truncated,
@@ -209,25 +218,18 @@ impl PayloadCodec {
             )
         })?;
         let payload_bits = len_bits - GUARD_BITS;
-        let mut payload = BitWriter::new();
-        let mut remaining = payload_bits;
-        while remaining > 0 {
-            let take = remaining.min(64) as u32;
-            let chunk = r.read_bits(take).expect("sized by construction");
-            payload.write_bits(chunk, take);
-            remaining -= take as usize;
-        }
+        r.skip_bits(payload_bits).expect("sized by construction");
         let line_crc = r.read_bits(32).expect("sized by construction") as u32;
         let frame_crc = r.read_bits(32).expect("sized by construction") as u32;
-        let mut body = payload.clone();
-        body.write_bits(u64::from(line_crc), 32);
-        if crc32_bits(body.as_slice(), body.len_bits()) != frame_crc {
+        // The frame CRC covers payload ‖ line CRC: the frame minus its
+        // own trailing 32 bits.
+        if crc32_bits(bytes, len_bits - 32) != frame_crc {
             return Err(DecodeError::with_kind(
                 DecodeErrorKind::BadFrameCrc,
                 "frame CRC mismatch",
             ));
         }
-        let parsed = self.parse(payload.as_slice(), payload.len_bits())?;
+        let parsed = self.parse(bytes, payload_bits)?;
         Ok((parsed, line_crc))
     }
 
@@ -270,19 +272,38 @@ mod tests {
         PayloadCodec::new(17, 16)
     }
 
-    fn diff_of_bits(bits: &[bool]) -> Encoded {
+    fn diff_of_bits(bits: &[bool]) -> BitWriter {
         let mut w = BitWriter::new();
         for &b in bits {
             w.write_bit(b);
         }
-        Encoded::new(w)
+        w
+    }
+
+    fn raw_frame(c: &PayloadCodec, line: &LineData) -> BitWriter {
+        let mut w = BitWriter::new();
+        c.encode_raw(line, &mut w);
+        w
+    }
+
+    fn compressed_frame(c: &PayloadCodec, lids: &[u64], diff: &BitWriter) -> BitWriter {
+        let mut w = BitWriter::new();
+        c.encode_compressed(lids, diff, &mut w);
+        w
+    }
+
+    /// The DIFF bits a parsed compressed payload's reader still holds.
+    fn rest(mut r: BitReader<'_>) -> BitWriter {
+        let mut w = BitWriter::new();
+        w.append_from_reader(&mut r);
+        w
     }
 
     #[test]
     fn raw_round_trip() {
         let c = codec();
         let line = LineData::splat_word(0xabcd_ef01);
-        let w = c.encode_raw(&line);
+        let w = raw_frame(&c, &line);
         assert_eq!(w.len_bits(), 513);
         match c.parse(w.as_slice(), w.len_bits()).unwrap() {
             ParsedPayload::Raw(back) => assert_eq!(back, line),
@@ -295,13 +316,17 @@ mod tests {
         let c = codec();
         let diff = diff_of_bits(&[true, false, true, true, false]);
         let lids = [3u64, 0x1ffff, 42];
-        let w = c.encode_compressed(&lids, &diff);
+        let w = compressed_frame(&c, &lids, &diff);
         assert_eq!(w.len_bits(), 1 + 2 + 3 * 17 + 5);
         match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-            ParsedPayload::Compressed { ref_lids, diff: d } => {
-                assert_eq!(ref_lids, lids);
-                assert_eq!(d.len_bits(), 5);
-                assert_eq!(d, diff);
+            ParsedPayload::Compressed {
+                lids: got,
+                count,
+                diff: d,
+            } => {
+                assert_eq!(got[..count], lids);
+                assert_eq!(d.remaining_bits(), 5);
+                assert_eq!(rest(d), diff);
             }
             other => panic!("expected compressed, got {other:?}"),
         }
@@ -311,12 +336,12 @@ mod tests {
     fn unseeded_payload_has_no_lids() {
         let c = codec();
         let diff = diff_of_bits(&[true; 30]);
-        let w = c.encode_compressed(&[], &diff);
+        let w = compressed_frame(&c, &[], &diff);
         assert_eq!(w.len_bits(), 33);
         match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-            ParsedPayload::Compressed { ref_lids, diff: d } => {
-                assert!(ref_lids.is_empty());
-                assert_eq!(d.len_bits(), 30);
+            ParsedPayload::Compressed { count, diff: d, .. } => {
+                assert_eq!(count, 0);
+                assert_eq!(d.remaining_bits(), 30);
             }
             other => panic!("expected compressed, got {other:?}"),
         }
@@ -361,14 +386,14 @@ mod tests {
     fn too_many_refs_panics() {
         let c = codec();
         let diff = diff_of_bits(&[]);
-        let _ = c.encode_compressed(&[0, 1, 2, 3], &diff);
+        let _ = compressed_frame(&c, &[0, 1, 2, 3], &diff);
     }
 
     #[test]
     fn guarded_round_trip_preserves_payload_and_line_crc() {
         let c = codec();
         let line = LineData::splat_word(0x0bad_cafe);
-        let framed = c.encode_guarded(&c.encode_raw(&line), &line);
+        let framed = c.encode_guarded(&raw_frame(&c, &line), &line);
         assert_eq!(framed.len_bits(), 513 + GUARD_BITS);
         let (parsed, line_crc) = c
             .parse_guarded(framed.as_slice(), framed.len_bits())
@@ -404,15 +429,16 @@ mod tests {
         ) {
             let c = codec();
             let diff = diff_of_bits(&bits);
-            let w = c.encode_compressed(&lids, &diff);
+            let w = compressed_frame(&c, &lids, &diff);
             prop_assert_eq!(
                 w.len_bits(),
                 c.compressed_header_bits(lids.len()) + bits.len()
             );
             match c.parse(w.as_slice(), w.len_bits()).unwrap() {
-                ParsedPayload::Compressed { ref_lids, diff: d } => {
-                    prop_assert_eq!(ref_lids, lids);
-                    prop_assert_eq!(d.len_bits(), bits.len());
+                ParsedPayload::Compressed { lids: got, count, diff: d } => {
+                    prop_assert_eq!(&got[..count], &lids[..]);
+                    prop_assert_eq!(d.remaining_bits(), bits.len());
+                    prop_assert_eq!(rest(d), diff);
                 }
                 _ => prop_assert!(false, "expected compressed"),
             }
@@ -429,7 +455,7 @@ mod tests {
         ) {
             let c = codec();
             let line = LineData::splat_word(0x5a5a_5a5a);
-            let framed = c.encode_guarded(&c.encode_compressed(&lids, &diff_of_bits(&bits)), &line);
+            let framed = c.encode_guarded(&compressed_frame(&c, &lids, &diff_of_bits(&bits)), &line);
             let flip_at = (flip_seed % framed.len_bits() as u64) as usize;
             let mut corrupted = framed.as_slice().to_vec();
             corrupted[flip_at / 8] ^= 0x80 >> (flip_at % 8);
@@ -444,7 +470,7 @@ mod tests {
         ) {
             let c = codec();
             let line = LineData::splat_word(7);
-            let framed = c.encode_guarded(&c.encode_compressed(&[], &diff_of_bits(&bits)), &line);
+            let framed = c.encode_guarded(&compressed_frame(&c, &[], &diff_of_bits(&bits)), &line);
             let cut = 1 + (cut_seed % (framed.len_bits() as u64 - 1)) as usize;
             prop_assert!(c.parse_guarded(framed.as_slice(), cut).is_err());
         }

@@ -410,6 +410,8 @@ pub struct CableLink {
     /// Reusable search buffers (taken out with `mem::take` for the duration
     /// of a compression, then put back).
     scratch: SearchScratch,
+    /// Reusable codec buffers, taken and put back the same way.
+    bufs: CodecBuffers,
     /// Insert signatures of each resident Shared home line, so eviction and
     /// desynchronization do not re-run H3 over the full line.
     home_sig_cache: InsertSigCache,
@@ -428,6 +430,16 @@ pub struct CableLink {
     /// pipeline of a mesh pair; fault counters then also publish under
     /// `mesh.hop.{N}.*`. Persists across [`CableLink::set_telemetry`].
     wire_hop: Option<u32>,
+}
+
+/// The writers one compression fills: the unseeded fallback, the seeded
+/// DIFF and the framed winner. The link owns one set and clears each writer
+/// before use, so a steady-state fill or write-back allocates nothing.
+#[derive(Clone, Default)]
+struct CodecBuffers {
+    unseeded: BitWriter,
+    diff: BitWriter,
+    frame: BitWriter,
 }
 
 /// How a detected delivery failure should be retried.
@@ -478,6 +490,7 @@ impl CableLink {
             stats: LinkStats::default(),
             last_flit: 0,
             scratch: SearchScratch::new(),
+            bufs: CodecBuffers::default(),
             home_sig_cache: InsertSigCache::new(
                 config.home_geometry.lines() as usize,
                 config.insert_signature_count,
@@ -862,28 +875,31 @@ impl CableLink {
         // §IV-C non-inclusive mode the remote cannot assume its lines exist
         // at home, so write-backs use the non-dictionary path.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (payload, kind) = self.compress_with(&data, SearchPath::WriteBack, &mut scratch);
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let kind = self.compress_with(&data, SearchPath::WriteBack, &mut scratch, &mut bufs);
+        let payload = &bufs.frame;
         let nrefs = if kind == TransferKind::Diff {
             scratch.selected().len()
         } else {
             0
         };
         let transfer = if self.fault.is_some() && self.reliable_mode {
-            self.deliver_reliable(&payload, kind, nrefs, &data, Direction::WriteBack)
+            self.deliver_reliable(payload, kind, nrefs, &data, Direction::WriteBack)
         } else if self.fault.is_some() {
             // Home side decodes with NACK/retry recovery; verify_writeback's
             // hard assertions are subsumed by the receiver's CRC + oracle
             // check (stale references NACK instead of panicking).
-            self.deliver_with_recovery(&payload, kind, nrefs, &data, Direction::WriteBack)
+            self.deliver_with_recovery(payload, kind, nrefs, &data, Direction::WriteBack)
         } else {
-            let transfer = self.account(&payload, kind, nrefs, Direction::WriteBack);
+            let transfer = self.account(payload, kind, nrefs, Direction::WriteBack);
             // Home side: decode (verifying through WMT translation) and absorb.
             if self.config.verify_decompression {
-                self.verify_writeback(scratch.selected(), &data, transfer, &payload);
+                self.verify_writeback(scratch.selected(), &data, transfer, payload);
             }
             transfer
         };
         self.scratch = scratch;
+        self.bufs = bufs;
         // The home copy's old content is stale: drop its signatures, then
         // absorb the new data as Modified (dirty lines are never inserted).
         if let Some(home_lid) = self.home.lookup(addr) {
@@ -1122,9 +1138,9 @@ impl CableLink {
                     } else {
                         // Stale reference or retry budget exhausted: the
                         // home retransmits the line raw (§III-F's fallback).
-                        current = self
-                            .codec
-                            .encode_guarded(&self.codec.encode_raw(line), line);
+                        let mut raw = BitWriter::new();
+                        self.codec.encode_raw(line, &mut raw);
+                        current = self.codec.encode_guarded(&raw, line);
                         current_kind = TransferKind::Raw;
                         fs.channel.stats_mut().fallback_raw += 1;
                         self.tel.fallback_raw.inc();
@@ -1171,11 +1187,14 @@ impl CableLink {
         self.stats.compression_ops += 1;
         let decoded = match parsed {
             ParsedPayload::Raw(l) => l,
-            ParsedPayload::Compressed { ref_lids, diff } => {
-                let nrefs = ref_lids.len();
+            ParsedPayload::Compressed {
+                lids,
+                count: nrefs,
+                mut diff,
+            } => {
                 let mut datas = [LineData::zeroed(); 3];
                 let remote_geometry = *self.remote.geometry();
-                for (slot, &lid) in datas.iter_mut().zip(&ref_lids) {
+                for (slot, &lid) in datas.iter_mut().zip(&lids[..nrefs]) {
                     if lid >= remote_geometry.lines() {
                         // A corrupted pointer outside the LineID space.
                         return Err(FailureClass::Transient);
@@ -1207,7 +1226,7 @@ impl CableLink {
                     self.stats.data_array_reads += 1;
                     *slot = data;
                 }
-                match self.engine.decompress_seeded(&datas[..nrefs], &diff) {
+                match self.engine.decompress_seeded(&datas[..nrefs], &mut diff) {
                     Ok(l) => l,
                     Err(_) => return Err(FailureClass::Transient),
                 }
@@ -1451,8 +1470,11 @@ impl CableLink {
                 // The back-invalidation recalls dirty data past the home
                 // cache; account the raw write-back traffic.
                 self.stats.writebacks += 1;
-                let payload = self.codec.encode_raw(&remote_victim.data);
-                self.account(&payload, TransferKind::Raw, 0, Direction::WriteBack);
+                let mut bufs = std::mem::take(&mut self.bufs);
+                bufs.frame.clear();
+                self.codec.encode_raw(&remote_victim.data, &mut bufs.frame);
+                self.account(&bufs.frame, TransferKind::Raw, 0, Direction::WriteBack);
+                self.bufs = bufs;
             }
         }
     }
@@ -1461,33 +1483,37 @@ impl CableLink {
 
     fn compress_fill(&mut self, line: &LineData) -> Transfer {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (payload, kind) = self.compress_with(line, SearchPath::Fill, &mut scratch);
+        let mut bufs = std::mem::take(&mut self.bufs);
+        let kind = self.compress_with(line, SearchPath::Fill, &mut scratch, &mut bufs);
+        let payload = &bufs.frame;
         let nrefs = if kind == TransferKind::Diff {
             scratch.selected().len()
         } else {
             0
         };
         let transfer = if self.fault.is_some() && self.reliable_mode {
-            self.deliver_reliable(&payload, kind, nrefs, line, Direction::Fill)
+            self.deliver_reliable(payload, kind, nrefs, line, Direction::Fill)
         } else if self.fault.is_some() {
             // The remote decodes with NACK/retry recovery; verify_fill's
             // hard assertions are subsumed by the receiver's CRC + oracle
             // check (stale references NACK instead of panicking).
-            self.deliver_with_recovery(&payload, kind, nrefs, line, Direction::Fill)
+            self.deliver_with_recovery(payload, kind, nrefs, line, Direction::Fill)
         } else {
-            let transfer = self.account(&payload, kind, nrefs, Direction::Fill);
+            let transfer = self.account(payload, kind, nrefs, Direction::Fill);
             if self.config.verify_decompression {
-                self.verify_fill(scratch.selected(), line, transfer, &payload);
+                self.verify_fill(scratch.selected(), line, transfer, payload);
             }
             transfer
         };
         self.scratch = scratch;
+        self.bufs = bufs;
         transfer
     }
 
     /// Shared compression policy (§III-E): search, build the DIFF, build
     /// the unseeded fallback, and pick raw/unseeded/DIFF by total payload
-    /// size (unseeded wins outright above the threshold ratio).
+    /// size (unseeded wins outright above the threshold ratio). The winner
+    /// is framed into `bufs.frame`.
     ///
     /// On a `Diff` outcome the selected references are left in
     /// `scratch.selected()`; for every other outcome the payload names no
@@ -1497,11 +1523,14 @@ impl CableLink {
         line: &LineData,
         path: SearchPath,
         scratch: &mut SearchScratch,
-    ) -> (BitWriter, TransferKind) {
+        bufs: &mut CodecBuffers,
+    ) -> TransferKind {
+        bufs.frame.clear();
         let raw_bits = self.codec.raw_payload_bits();
         if !self.compression_enabled {
             scratch.clear_selected();
-            return (self.codec.encode_raw(line), TransferKind::Raw);
+            self.codec.encode_raw(line, &mut bufs.frame);
+            return TransferKind::Raw;
         }
 
         let sstats = match path {
@@ -1541,22 +1570,22 @@ impl CableLink {
         }
 
         // Unseeded fallback, computed concurrently with the search (§III-E).
-        let unseeded = self.engine.compress_seeded(&[], line);
+        bufs.unseeded.clear();
+        self.engine.compress_seeded(&[], line, &mut bufs.unseeded);
         self.stats.compression_ops += 1;
-        let unseeded_total = self.codec.compressed_header_bits(0) + unseeded.len_bits();
+        let unseeded_total = self.codec.compressed_header_bits(0) + bufs.unseeded.len_bits();
+        let fallback = if unseeded_total < raw_bits {
+            TransferKind::Unseeded
+        } else {
+            TransferKind::Raw
+        };
 
         let threshold_bits =
             ((LINE_BYTES * 8) as f64 / self.config.unseeded_threshold_ratio) as usize;
         let refs = scratch.selected();
-        if unseeded.len_bits() <= threshold_bits || refs.is_empty() {
-            return if unseeded_total < raw_bits {
-                (
-                    self.codec.encode_compressed(&[], &unseeded),
-                    TransferKind::Unseeded,
-                )
-            } else {
-                (self.codec.encode_raw(line), TransferKind::Raw)
-            };
+        if bufs.unseeded.len_bits() <= threshold_bits || refs.is_empty() {
+            self.frame_fallback(fallback, line, bufs);
+            return fallback;
         }
 
         // max_refs is validated to 1..=3 (2-bit wire count field), so the
@@ -1567,29 +1596,37 @@ impl CableLink {
         for (slot, r) in ref_datas.iter_mut().zip(refs) {
             *slot = r.data;
         }
-        let diff = self.engine.compress_seeded(&ref_datas[..nrefs], line);
+        bufs.diff.clear();
+        self.engine
+            .compress_seeded(&ref_datas[..nrefs], line, &mut bufs.diff);
         self.stats.compression_ops += 1;
-        let diff_total = self.codec.compressed_header_bits(nrefs) + diff.len_bits();
+        let diff_total = self.codec.compressed_header_bits(nrefs) + bufs.diff.len_bits();
 
         if diff_total < unseeded_total && diff_total < raw_bits {
             self.tel.handle.record(Event::DiffSize {
-                bits: diff.len_bits() as u32,
+                bits: bufs.diff.len_bits() as u32,
             });
             let mut wire_lids = [0u64; 3];
             for (slot, r) in wire_lids.iter_mut().zip(refs) {
                 *slot = r.wire_lid.pack(self.remote.geometry());
             }
-            (
-                self.codec.encode_compressed(&wire_lids[..nrefs], &diff),
-                TransferKind::Diff,
-            )
-        } else if unseeded_total < raw_bits {
-            (
-                self.codec.encode_compressed(&[], &unseeded),
-                TransferKind::Unseeded,
-            )
+            self.codec
+                .encode_compressed(&wire_lids[..nrefs], &bufs.diff, &mut bufs.frame);
+            TransferKind::Diff
         } else {
-            (self.codec.encode_raw(line), TransferKind::Raw)
+            self.frame_fallback(fallback, line, bufs);
+            fallback
+        }
+    }
+
+    /// Frames the unseeded payload or the raw line (`kind`) into the empty
+    /// `bufs.frame`.
+    fn frame_fallback(&self, kind: TransferKind, line: &LineData, bufs: &mut CodecBuffers) {
+        if kind == TransferKind::Unseeded {
+            self.codec
+                .encode_compressed(&[], &bufs.unseeded, &mut bufs.frame);
+        } else {
+            self.codec.encode_raw(line, &mut bufs.frame);
         }
     }
 
@@ -1797,13 +1834,13 @@ impl CableLink {
             .parse(payload.as_slice(), payload.len_bits())
             .expect("transmitted payload parses")
         {
-            ParsedPayload::Compressed { ref_lids, diff } => {
-                assert_eq!(
-                    ref_lids.len(),
-                    refs.len(),
-                    "reference count survives framing"
-                );
-                for (lid, r) in ref_lids.iter().zip(refs) {
+            ParsedPayload::Compressed {
+                lids,
+                count,
+                mut diff,
+            } => {
+                assert_eq!(count, refs.len(), "reference count survives framing");
+                for (lid, r) in lids[..count].iter().zip(refs) {
                     assert_eq!(
                         *lid,
                         r.wire_lid.pack(self.remote.geometry()),
@@ -1811,7 +1848,7 @@ impl CableLink {
                     );
                 }
                 self.engine
-                    .decompress_seeded(receiver_refs, &diff)
+                    .decompress_seeded(receiver_refs, &mut diff)
                     .expect("transmitted DIFF decodes")
             }
             ParsedPayload::Raw(_) => unreachable!("Diff transfers are framed compressed"),

@@ -18,7 +18,7 @@
 
 use crate::evict_buffer::EvictionBuffer;
 use cable_cache::{CacheGeometry, CoherenceState, LineId, SetAssocCache};
-use cable_common::{Address, LineData};
+use cable_common::{Address, BitWriter, LineData};
 use cable_compress::{EngineKind, SeededCompressor};
 use std::collections::VecDeque;
 use std::fmt;
@@ -34,7 +34,7 @@ pub struct InFlightResponse {
     /// the resolution — a real response carries the DIFF instead).
     ref_data: Vec<LineData>,
     /// The DIFF payload.
-    diff: cable_compress::Encoded,
+    diff: BitWriter,
     /// The EvictSeq the home has processed up to (echoed acknowledgement).
     pub acked_evict_seq: u64,
 }
@@ -107,7 +107,8 @@ impl OooLink {
     /// immediately.
     pub fn send(&mut self, addr: Address, line: LineData, refs: &[(LineId, LineData)]) {
         let ref_data: Vec<LineData> = refs.iter().map(|(_, d)| *d).collect();
-        let diff = self.engine.compress_seeded(&ref_data, &line);
+        let mut diff = BitWriter::new();
+        self.engine.compress_seeded(&ref_data, &line, &mut diff);
         self.in_flight.push_back(InFlightResponse {
             addr,
             ref_lids: refs.iter().map(|(l, _)| *l).collect(),
@@ -174,7 +175,7 @@ impl OooLink {
         }
         let line = self
             .engine
-            .decompress_seeded(&refs, &response.diff)
+            .decompress_seeded(&refs, &mut response.diff.reader())
             .expect("references resolved; DIFF must decode");
         // The fill's own capacity victim is buffered too (every remote
         // eviction is, until acknowledged).

@@ -5,7 +5,7 @@
 //! pin the bytes for the line classes the ISSUE calls out: random lines,
 //! all-zero lines, all-exception lines, and fault-mode CRC-framed payloads.
 
-use cable_common::{crc32, LineData, SplitMix64};
+use cable_common::{crc32, BitWriter, LineData, SplitMix64};
 use cable_compress::{Cpack, Encoded, Lbe, SeededCompressor};
 use cable_core::codec::{ParsedPayload, PayloadCodec};
 use cable_core::{SignatureBuf, SignatureExtractor};
@@ -54,12 +54,16 @@ fn ref_lines(rng: &mut SplitMix64) -> [LineData; 3] {
 /// CRC) and demands byte-identical frames plus a clean round-trip.
 fn assert_guarded_equivalence(engine: &dyn SeededCompressor, refs: &[LineData], line: &LineData) {
     let codec = PayloadCodec::new(10, 16);
-    let vec = engine.compress_seeded(refs, line);
-    let framed = codec.encode_compressed(&[0, 1, 2][..refs.len()], &vec);
+    let lids = &[0, 1, 2][..refs.len()];
+    let mut vec = BitWriter::new();
+    engine.compress_seeded(refs, line, &mut vec);
+    let mut framed = BitWriter::new();
+    codec.encode_compressed(lids, &vec, &mut framed);
     let guarded = codec.encode_guarded(&framed, line);
 
     let scalar = scalar_seeded(engine, refs, line);
-    let framed_s = codec.encode_compressed(&[0, 1, 2][..refs.len()], &scalar);
+    let mut framed_s = BitWriter::new();
+    codec.encode_compressed(lids, scalar.bits(), &mut framed_s);
     let guarded_s = codec.encode_guarded(&framed_s, line);
 
     assert_eq!(
@@ -77,11 +81,11 @@ fn assert_guarded_equivalence(engine: &dyn SeededCompressor, refs: &[LineData], 
     let (parsed, line_crc) = codec
         .parse_guarded(guarded.as_slice(), guarded.len_bits())
         .expect("self-produced frame verifies");
-    let ParsedPayload::Compressed { diff, .. } = parsed else {
+    let ParsedPayload::Compressed { mut diff, .. } = parsed else {
         panic!("compressed payload parsed as raw");
     };
     let decoded = engine
-        .decompress_seeded(refs, &diff)
+        .decompress_seeded(refs, &mut diff)
         .expect("self-produced diff decodes");
     assert_eq!(&decoded, line, "round-trip through guarded frame");
     assert_eq!(
@@ -110,7 +114,7 @@ fn all_zero_lines_match_scalar_wire_bytes() {
     let mut rng = SplitMix64::new(1);
     let refs = ref_lines(&mut rng);
     for engine in engines() {
-        let vec = engine.compress_seeded(&refs, &LineData::zeroed());
+        let vec = engine.encode_seeded(&refs, &LineData::zeroed());
         let scalar = scalar_seeded(engine.as_ref(), &refs, &LineData::zeroed());
         assert_same_wire(engine.name(), &vec, &scalar);
         assert_guarded_equivalence(engine.as_ref(), &refs, &LineData::zeroed());
@@ -124,7 +128,7 @@ fn all_exception_lines_match_scalar_wire_bytes() {
         let refs = ref_lines(&mut rng);
         let line = all_exception_line(&mut rng);
         for engine in engines() {
-            let vec = engine.compress_seeded(&refs, &line);
+            let vec = engine.encode_seeded(&refs, &line);
             let scalar = scalar_seeded(engine.as_ref(), &refs, &line);
             assert_same_wire(&format!("{} case {case}", engine.name()), &vec, &scalar);
         }
@@ -163,7 +167,7 @@ proptest! {
         let base = refs[rng.next_bounded(3) as usize];
         let line = clashy_line(&mut rng, &base);
         for engine in engines() {
-            let vec = engine.compress_seeded(&refs, &line);
+            let vec = engine.encode_seeded(&refs, &line);
             let scalar = scalar_seeded(engine.as_ref(), &refs, &line);
             assert_same_wire(engine.name(), &vec, &scalar);
         }

@@ -39,15 +39,15 @@ fn golden_engine_payload_bits() {
 
     // LBE unseeded.
     let lbe = Lbe::seeded();
-    assert_eq!(lbe.compress_seeded(&[], &zero).len_bits(), 6); // one zero run
-    assert_eq!(lbe.compress_seeded(&[], &splat).len_bits(), 35 + 7); // literal + repeat
+    assert_eq!(lbe.encode_seeded(&[], &zero).len_bits(), 6); // one zero run
+    assert_eq!(lbe.encode_seeded(&[], &splat).len_bits(), 35 + 7); // literal + repeat
 
     // LBE seeded with an exact duplicate: one copy command.
-    assert_eq!(lbe.compress_seeded(&[object], &object).len_bits(), 12);
+    assert_eq!(lbe.encode_seeded(&[object], &object).len_bits(), 12);
 
     // ORACLE picks LBE's word coding for the exact duplicate (+1 mode bit).
     let oracle = Oracle::new();
-    assert_eq!(oracle.compress_seeded(&[object], &object).len_bits(), 13);
+    assert_eq!(oracle.encode_seeded(&[object], &object).len_bits(), 13);
 
     // LZSS streaming: second occurrence of a line is one 24-bit token.
     let mut lzss = Lzss::new(32 << 10);
@@ -124,8 +124,8 @@ fn golden_engine_dispatch_sizes_are_stable() {
     ];
     for (kind, dup_bits, edit_bits) in expect {
         let engine = kind.build();
-        let dup = engine.compress_seeded(&[object], &object).len_bits();
-        let edit = engine.compress_seeded(&[object], &edited).len_bits();
+        let dup = engine.encode_seeded(&[object], &object).len_bits();
+        let edit = engine.encode_seeded(&[object], &edited).len_bits();
         assert_eq!(dup, dup_bits, "{kind} duplicate payload");
         assert_eq!(edit, edit_bits, "{kind} edited payload");
     }
