@@ -193,12 +193,38 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_workload_gen(c: &mut Criterion) {
+    // Building the 71 chip generators of the full-size mesh: one walk of
+    // the instance family against replaying every phase lag from scratch.
+    const COPIES: usize = 71;
+    let p = cable_trace::by_name("mcf").expect("mcf profile");
+    let first_line = |mut g: WorkloadGen| g.next_access().addr.line_number();
+    let mut group = c.benchmark_group("workload_gen");
+    group.bench_function("instances_71", |b| {
+        b.iter(|| {
+            WorkloadGen::instances(p)
+                .take(COPIES)
+                .map(first_line)
+                .sum::<u64>()
+        });
+    });
+    group.bench_function("new_loop_71", |b| {
+        b.iter(|| {
+            (0..COPIES as u64)
+                .map(|i| first_line(WorkloadGen::new(p, i)))
+                .sum::<u64>()
+        });
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engines,
     bench_seeded,
     bench_payload_codec,
     bench_link,
-    bench_search
+    bench_search,
+    bench_workload_gen
 );
 criterion_main!(benches);

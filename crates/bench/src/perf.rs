@@ -181,6 +181,7 @@ pub const SHARD_BENCH_COLUMNS: &[&str] = &[
     "endpoints",
     "simulated_accesses",
     "host_cores",
+    "construct_ms",
 ];
 
 /// Worker counts swept by [`run_shard_bench`] (the figure's x axis).
@@ -249,7 +250,9 @@ fn shard_mesh_config() -> SystemConfig {
 /// against a single-threaded `run` oracle before its rate is reported, so
 /// the figure cannot ship numbers from a diverged run. `host_cores`
 /// records the machine the sweep ran on — on a single-core host the
-/// speedup column is honestly ~1.0. Honors `CABLE_QUICK` and
+/// speedup column is honestly ~1.0. `construct_ms` is the median
+/// `FabricSim::with_config` time over the sweep's builds (the oracle and
+/// one per row), repeated on every row. Honors `CABLE_QUICK` and
 /// `CABLE_SHARD_WORKERS`.
 ///
 /// # Panics
@@ -266,19 +269,25 @@ pub fn run_shard_bench() -> FigureResult<'static> {
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let endpoints = shard_bench_endpoints(nodes);
 
+    let mut construct_ms = Vec::new();
+    let mut build = || {
+        let start = Instant::now();
+        let sim = FabricSim::with_config(profile, Scheme::Cable(EngineKind::Lbe), nodes, ptp, &cfg);
+        construct_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        sim
+    };
+
     let oracle = {
-        let mut sim =
-            FabricSim::with_config(profile, Scheme::Cable(EngineKind::Lbe), nodes, ptp, &cfg);
+        let mut sim = build();
         sim.run(instrs);
         (sim.total_accesses(), sim.timing_fingerprint())
     };
 
     let mut base_rate = None;
-    let rows = shard_worker_sweep()
+    let mut rows: Vec<(String, Vec<f64>)> = shard_worker_sweep()
         .into_iter()
         .map(|workers| {
-            let mut sim =
-                FabricSim::with_config(profile, Scheme::Cable(EngineKind::Lbe), nodes, ptp, &cfg);
+            let mut sim = build();
             let start = Instant::now();
             sim.run_sharded(instrs, workers);
             let elapsed = start.elapsed();
@@ -304,6 +313,11 @@ pub fn run_shard_bench() -> FigureResult<'static> {
             )
         })
         .collect();
+    construct_ms.sort_by(f64::total_cmp);
+    let median_construct_ms = construct_ms[construct_ms.len() / 2];
+    for (_, values) in &mut rows {
+        values.push(median_construct_ms);
+    }
     FigureResult {
         id: SHARD_BENCH_ID,
         title: "Sharded fabric throughput vs worker count (10k-endpoint mesh)",
@@ -990,7 +1004,8 @@ mod tests {
         assert_eq!(SIM_BENCH_COLUMNS.len(), 5);
         assert_eq!(SHARD_BENCH_COLUMNS[0], "accesses_per_sec");
         assert_eq!(SHARD_BENCH_COLUMNS[1], "speedup_vs_1w");
-        assert_eq!(SHARD_BENCH_COLUMNS.len(), 7);
+        assert_eq!(SHARD_BENCH_COLUMNS[7], "construct_ms");
+        assert_eq!(SHARD_BENCH_COLUMNS.len(), 8);
         assert_eq!(SHARD_BENCH_WORKERS, &[1, 2, 4, 8]);
         assert_eq!(shard_bench_endpoints(71), 10_082);
         assert_eq!(FAULT_BENCH_COLUMNS[0], "compression_ratio");

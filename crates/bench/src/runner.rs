@@ -135,9 +135,7 @@ pub fn multi4_study(
     cfg: &StudyConfig,
 ) -> LinkStats {
     let mut link = cfg.build_link_scaled(scheme, copies as u64);
-    let mut gens: Vec<WorkloadGen> = (0..copies)
-        .map(|i| WorkloadGen::new(profile, i as u64))
-        .collect();
+    let mut gens: Vec<WorkloadGen> = WorkloadGen::instances(profile).take(copies).collect();
     run_interleaved(&mut link, &mut gens, cfg.warmup_accesses);
     link.reset_stats();
     run_interleaved(&mut link, &mut gens, cfg.accesses);

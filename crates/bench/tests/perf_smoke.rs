@@ -180,6 +180,14 @@ fn shard_bench_scales_and_roundtrips_schema() {
             "{label}: worker counts must simulate identical work"
         );
         assert!(values[6] >= 1.0, "{label}: host_cores column");
+        assert!(
+            values[7].is_finite() && values[7] > 0.0,
+            "{label}: construct_ms column"
+        );
+        assert_eq!(
+            values[7], result.rows[0].1[7],
+            "{label}: one median construction time per sweep"
+        );
     }
 
     // The emitted JSON parses back with the same schema and values.

@@ -12,7 +12,7 @@
 
 use crate::link::{Direction, LinkStats, LinkTelemetry, Transfer, TransferKind};
 use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
-use cable_common::{Address, BitReader, BitWriter, LineData, LINE_BYTES};
+use cable_common::{Address, BitReader, LineData, LINE_BYTES};
 use cable_compress::{Bdi, Compressor, Cpack, Decompressor, Lbe, Lzss};
 use cable_telemetry::{Event, Telemetry};
 use std::fmt;
@@ -322,10 +322,12 @@ impl BaselineLink {
     ///
     /// Baseline payloads are flag-less: the schemes of §VI-A transmit the
     /// compressed stream directly (mode is carried out of band), so a raw
-    /// fallback costs exactly 512 bits.
+    /// fallback costs exactly 512 bits. The payload is read in place — the
+    /// engine's `Encoded` stream or the line's own bytes — so an
+    /// Uncompressed link allocates nothing per transfer.
     fn send(&mut self, line: &LineData, direction: Direction) -> Transfer {
-        let (payload, kind) = match &mut self.engines {
-            None => (raw_payload(line), TransferKind::Raw),
+        let encoded = match &mut self.engines {
+            None => None,
             Some((enc, dec)) => {
                 let encoded = enc.compress(line);
                 self.stats.compression_ops += 2; // compress + decompress
@@ -333,20 +335,18 @@ impl BaselineLink {
                     .decompress(&encoded)
                     .expect("baseline payload round-trips");
                 assert_eq!(back, *line, "{} round-trip mismatch", self.kind);
-                if encoded.len_bits() < LINE_BYTES * 8 {
-                    let mut w = BitWriter::new();
-                    let mut r = BitReader::new(encoded.as_bytes(), encoded.len_bits());
-                    while let Some(bit) = r.read_bit() {
-                        w.write_bit(bit);
-                    }
-                    (w, TransferKind::Unseeded)
-                } else {
-                    (raw_payload(line), TransferKind::Raw)
-                }
+                Some(encoded)
             }
         };
+        let (payload, kind) = match &encoded {
+            Some(e) if e.len_bits() < LINE_BYTES * 8 => (e.reader(), TransferKind::Unseeded),
+            _ => (
+                BitReader::new(line.as_bytes(), LINE_BYTES * 8),
+                TransferKind::Raw,
+            ),
+        };
 
-        let payload_bits = payload.len_bits();
+        let payload_bits = payload.remaining_bits();
         let width = u64::from(self.link_width_bits);
         let wire_bits = cable_common::div_ceil(payload_bits as u64, width) * width;
         self.stats.uncompressed_bits += (LINE_BYTES * 8) as u64;
@@ -357,7 +357,7 @@ impl BaselineLink {
             TransferKind::Raw => self.stats.raw_transfers += 1,
             _ => self.stats.unseeded_transfers += 1,
         }
-        self.account_toggles(&payload);
+        self.account_toggles(payload);
         if self.tel.handle.is_enabled() {
             self.tel.count_encode(kind);
             self.tel.wire_bits.add(wire_bits);
@@ -373,16 +373,15 @@ impl BaselineLink {
         transfer_of(kind, direction, payload_bits, wire_bits)
     }
 
-    fn account_toggles(&mut self, payload: &BitWriter) {
+    fn account_toggles(&mut self, mut payload: BitReader<'_>) {
         let width = self.link_width_bits.min(64);
-        let mut reader = BitReader::new(payload.as_slice(), payload.len_bits());
         loop {
-            let take = reader.remaining_bits().min(width as usize);
+            let take = payload.remaining_bits().min(width as usize);
             if take == 0 {
                 break;
             }
             let flit =
-                reader.read_bits(take as u32).expect("sized read") << (width as usize - take);
+                payload.read_bits(take as u32).expect("sized read") << (width as usize - take);
             self.stats.bit_toggles += u64::from((flit ^ self.last_flit).count_ones());
             self.stats.flits += 1;
             self.last_flit = flit;
@@ -399,12 +398,6 @@ impl fmt::Debug for BaselineLink {
             self.stats.compression_ratio()
         )
     }
-}
-
-fn raw_payload(line: &LineData) -> BitWriter {
-    let mut w = BitWriter::new();
-    w.write_bytes(line.as_bytes());
-    w
 }
 
 // Transfer's fields are private to cable-core::link; construct via helpers.

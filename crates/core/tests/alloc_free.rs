@@ -1,11 +1,16 @@
-//! The steady-state CABLE encode path allocates nothing.
+//! The steady-state link encode paths allocate nothing.
 //!
 //! A counting global allocator tallies heap allocations per thread. After
-//! a warm-up, 10k dealII accesses through `CableLink::request_batch`
-//! (CABLE+LBE, reliable link, telemetry off, `verify_decompression` on)
-//! must not allocate once: the link reuses its search scratch and its
-//! three codec writers (unseeded, DIFF, frame), the payload codec parses
-//! frames in place, and LBE builds its seeded window on the stack.
+//! a warm-up, 10k dealII accesses through `request_batch` must not
+//! allocate once, on two links:
+//!
+//! - `CableLink` (CABLE+LBE, reliable link, telemetry off,
+//!   `verify_decompression` on): the link reuses its search scratch and
+//!   its three codec writers (unseeded, DIFF, frame), the payload codec
+//!   parses frames in place, and LBE builds its seeded window on the
+//!   stack;
+//! - an Uncompressed `BaselineLink`: a raw payload is read straight from
+//!   the line's bytes for length and toggle accounting.
 //!
 //! The workload generator allocates, so the measured batches are built
 //! before counting starts.
@@ -17,9 +22,17 @@
 //! never need the bound. On dealII a candidate-heavy line still grows one
 //! of them once after 30k accesses, so the warm-up is 60k accesses, the
 //! same as the `encode` benchmark's.
+//!
+//! Known allocators, not covered here: the compressing baselines. BDI,
+//! CPACK, LZSS ("gzip") and streaming LBE implement `Compressor::compress`,
+//! which returns an owned `Encoded`, so every `BaselineLink` fill under
+//! them allocates its payload.
 
+use cable_cache::CacheGeometry;
 use cable_common::LineData;
-use cable_core::{BatchAccess, CableConfig, CableLink, LinkStats, Transfer};
+use cable_core::{
+    BaselineKind, BaselineLink, BatchAccess, CableConfig, CableLink, LinkStats, Transfer,
+};
 use cable_trace::WorkloadGen;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,10 +113,15 @@ fn batches(gen: &mut WorkloadGen, accesses: usize) -> Vec<Vec<BatchAccess>> {
     out
 }
 
-fn drive(link: &mut CableLink, batches: &[Vec<BatchAccess>], xfers: &mut Vec<Transfer>) {
+/// Feeds every batch to `request_batch`, reusing one transfer buffer.
+fn drive(
+    mut request_batch: impl FnMut(&[BatchAccess], &mut Vec<Transfer>),
+    batches: &[Vec<BatchAccess>],
+    xfers: &mut Vec<Transfer>,
+) {
     for batch in batches {
         xfers.clear();
-        link.request_batch(batch, xfers);
+        request_batch(batch, xfers);
     }
 }
 
@@ -117,12 +135,12 @@ fn steady_state_request_batch_does_not_allocate() {
     let mut xfers = Vec::with_capacity(BATCH);
 
     let warm = batches(&mut gen, 60_000);
-    drive(&mut link, &warm, &mut xfers);
+    drive(|b, x| link.request_batch(b, x), &warm, &mut xfers);
     let measured = batches(&mut gen, 10_000);
     let before: LinkStats = *link.stats();
 
     let start = allocations();
-    drive(&mut link, &measured, &mut xfers);
+    drive(|b, x| link.request_batch(b, x), &measured, &mut xfers);
     let allocated = allocations() - start;
 
     let after = link.stats();
@@ -143,5 +161,44 @@ fn steady_state_request_batch_does_not_allocate() {
     assert_eq!(
         allocated, 0,
         "steady-state request_batch allocated {allocated} times"
+    );
+}
+
+#[test]
+fn steady_state_uncompressed_baseline_does_not_allocate() {
+    let profile = cable_trace::by_name("dealII").expect("dealII is a built-in profile");
+    let mut gen = WorkloadGen::new(profile, 0);
+    let mut link = BaselineLink::new(
+        BaselineKind::Uncompressed,
+        CacheGeometry::new(4 << 20, 16),
+        CacheGeometry::new(1 << 20, 8),
+        16,
+    );
+    assert!(!link.telemetry().is_enabled());
+    let mut xfers = Vec::with_capacity(BATCH);
+
+    let warm = batches(&mut gen, 20_000);
+    drive(|b, x| link.request_batch(b, x), &warm, &mut xfers);
+    let measured = batches(&mut gen, 10_000);
+    let before: LinkStats = *link.stats();
+
+    let start = allocations();
+    drive(|b, x| link.request_batch(b, x), &measured, &mut xfers);
+    let allocated = allocations() - start;
+
+    let after = link.stats();
+    // The window covers raw fills in both directions.
+    assert!(after.fills > before.fills, "no fills measured");
+    assert!(
+        after.raw_transfers > before.raw_transfers,
+        "no raw transfers measured"
+    );
+    assert!(
+        after.writebacks > before.writebacks,
+        "no write-backs measured"
+    );
+    assert_eq!(
+        allocated, 0,
+        "steady-state Uncompressed request_batch allocated {allocated} times"
     );
 }

@@ -19,7 +19,7 @@
 
 use crate::config::SystemConfig;
 use crate::thread::{Scheme, ThreadSim};
-use crate::throughput::GROUP_SIZE;
+use crate::throughput::build_warmed_group;
 use cable_trace::WorkloadProfile;
 
 /// How many warmed groups an arena retains. A group of eight threads owns
@@ -91,13 +91,7 @@ impl SimArena {
             return self.entries.last().expect("just pushed").group.clone();
         }
         self.misses += 1;
-        let group: Vec<ThreadSim> = (0..GROUP_SIZE)
-            .map(|i| {
-                let mut t = ThreadSim::new(profile, i as u64, scheme, *config);
-                t.warm(warm_accesses);
-                t
-            })
-            .collect();
+        let group = build_warmed_group(profile, scheme, warm_accesses, config);
         if self.entries.len() >= MAX_ENTRIES {
             self.entries.remove(0); // least-recently-used
         }
@@ -121,6 +115,7 @@ impl SimArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::throughput::GROUP_SIZE;
     use cable_compress::EngineKind;
     use cable_trace::by_name;
 

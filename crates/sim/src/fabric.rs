@@ -467,7 +467,8 @@ impl FabricSim {
         let remote = CacheGeometry::new(config.llc_bytes, config.llc_ways);
         let home = CacheGeometry::new(config.l4_bytes, config.l4_ways);
         let chips = (0..nodes)
-            .map(|i| {
+            .zip(WorkloadGen::instances(profile))
+            .map(|(i, gen)| {
                 let links = (0..nodes)
                     .map(|h| {
                         let mut link =
@@ -499,7 +500,7 @@ impl FabricSim {
                     })
                     .unwrap_or_default();
                 ChipNode {
-                    gen: WorkloadGen::new(profile, i as u64),
+                    gen,
                     l1: SetAssocCache::new(CacheGeometry::new(config.l1_bytes, config.l1_ways)),
                     l2: SetAssocCache::new(CacheGeometry::new(config.l2_bytes, config.l2_ways)),
                     now_ps: 0,
@@ -980,6 +981,19 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 6, "six PTP links in a 4-chip system (§V-B)");
+    }
+
+    #[test]
+    fn chip_generators_are_the_per_instance_generators() {
+        let p = by_name("gcc").unwrap();
+        let f = FabricSim::new(p, Scheme::Uncompressed, 5, 19.2e9);
+        for (i, chip) in f.chips.iter().enumerate() {
+            assert_eq!(
+                format!("{:?}", chip.gen),
+                format!("{:?}", WorkloadGen::new(p, i as u64)),
+                "chip {i}"
+            );
+        }
     }
 
     #[test]

@@ -323,6 +323,23 @@ impl ThreadSim {
         scheme: Scheme,
         config: SystemConfig,
     ) -> Self {
+        ThreadSim::with_gen(
+            WorkloadGen::new(profile, instance),
+            instance,
+            scheme,
+            config,
+        )
+    }
+
+    /// [`ThreadSim::new`] around an already-built generator for thread
+    /// `instance` — groups take theirs from one walk of
+    /// [`WorkloadGen::instances`] instead of replaying each phase lag.
+    pub(crate) fn with_gen(
+        gen: WorkloadGen,
+        instance: u64,
+        scheme: Scheme,
+        config: SystemConfig,
+    ) -> Self {
         let home = CacheGeometry::new(config.l4_bytes, config.l4_ways);
         let remote = CacheGeometry::new(config.llc_bytes, config.llc_ways);
         let mut link = CompressedLink::build(scheme, home, remote, config.link_width_bits);
@@ -335,7 +352,7 @@ impl ThreadSim {
             });
         }
         ThreadSim {
-            gen: WorkloadGen::new(profile, instance),
+            gen,
             l1: SetAssocCache::new(CacheGeometry::new(config.l1_bytes, config.l1_ways)),
             l2: SetAssocCache::new(CacheGeometry::new(config.l2_bytes, config.l2_ways)),
             link,

@@ -24,7 +24,7 @@ use crate::resources::{DramModel, SharedLink};
 use crate::sched::{DoneTracker, Scheduler};
 use crate::thread::{Scheme, ThreadSim};
 use cable_telemetry::{Event, Telemetry};
-use cable_trace::WorkloadProfile;
+use cable_trace::{WorkloadGen, WorkloadProfile};
 
 /// Threads that share bandwidth competitively (§VI-A).
 pub const GROUP_SIZE: usize = 8;
@@ -78,15 +78,18 @@ fn group_resources(threads: usize, config: &SystemConfig) -> (SharedLink, DramMo
     (wire, dram)
 }
 
-fn build_warmed_group(
+/// Builds and warms the [`GROUP_SIZE`] threads of a group, taking their
+/// generators from one walk of the profile's instance family.
+pub(crate) fn build_warmed_group(
     profile: &'static WorkloadProfile,
     scheme: Scheme,
     warm_accesses: u64,
     config: &SystemConfig,
 ) -> Vec<ThreadSim> {
-    (0..GROUP_SIZE)
-        .map(|i| {
-            let mut t = ThreadSim::new(profile, i as u64, scheme, *config);
+    (0..GROUP_SIZE as u64)
+        .zip(WorkloadGen::instances(profile))
+        .map(|(i, gen)| {
+            let mut t = ThreadSim::with_gen(gen, i, scheme, *config);
             t.warm(warm_accesses);
             t
         })

@@ -60,41 +60,88 @@ pub struct WorkloadGen {
 /// instances and mix members never alias.
 pub const INSTANCE_SPACE_LINES: u64 = 1 << 30;
 
+/// Phase lag between consecutive instances of one benchmark: instance `i`
+/// starts `i * PHASE_LAG_ACCESSES` accesses into the shared sequence. The
+/// lag is more than one content region, so co-scheduled copies never hand
+/// gzip in-window duplicates, while a cache-sized dictionary still holds
+/// them (Fig. 15's contrast).
+pub const PHASE_LAG_ACCESSES: u64 = 19_997;
+
 impl WorkloadGen {
     /// Creates instance `instance` of the benchmark. Distinct instances
     /// have disjoint address spaces; whether their *content* matches is
     /// the profile's `content_diverges` choice.
     ///
     /// Instances of the same benchmark execute the *same access sequence*
-    /// with a small per-instance phase lag — SPECrate-style copies progress
-    /// through aligned program phases, which is what makes cooperative
-    /// multiprogramming compress better (Fig. 15); "threads can
-    /// desynchronize and execute dissimilar program phases" is modelled by
-    /// the lag.
+    /// with a small per-instance phase lag ([`PHASE_LAG_ACCESSES`]) —
+    /// SPECrate-style copies progress through aligned program phases,
+    /// which is what makes cooperative multiprogramming compress better
+    /// (Fig. 15); "threads can desynchronize and execute dissimilar
+    /// program phases" is modelled by the lag.
+    ///
+    /// This replays `instance * PHASE_LAG_ACCESSES` accesses; to build
+    /// several instances of one profile, walk [`WorkloadGen::instances`]
+    /// instead.
     #[must_use]
     pub fn new(profile: &'static WorkloadProfile, instance: u64) -> Self {
-        let mut gen = WorkloadGen {
+        let n = usize::try_from(instance).expect("instance index fits in usize");
+        Self::instances(profile)
+            .nth(n)
+            .expect("the instance family is endless")
+    }
+
+    /// Instances `0, 1, 2, …` of the benchmark, in order, from one walk
+    /// of the shared access sequence: instance `i` equals
+    /// `WorkloadGen::new(profile, i)`, but the `n` first instances cost
+    /// `n * PHASE_LAG_ACCESSES` generator steps in total rather than
+    /// `n² / 2 * PHASE_LAG_ACCESSES`.
+    ///
+    /// The walk is exact because [`WorkloadGen::next_access`] never reads
+    /// the instance's content synthesizer or address-space base, and the
+    /// lag never calls [`WorkloadGen::store_data`] (the only other RNG
+    /// consumer). So each instance is the walker, stopped at its lag
+    /// boundary and rebased into its own address space, with zeroed
+    /// progress and an empty content memo. The iterator is lazy, endless
+    /// and allocates nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cable_trace::{by_name, WorkloadGen};
+    ///
+    /// let p = by_name("gcc").unwrap();
+    /// let mut copies: Vec<WorkloadGen> = WorkloadGen::instances(p).take(4).collect();
+    /// let mut third = WorkloadGen::new(p, 3);
+    /// assert_eq!(copies[3].next_access(), third.next_access());
+    /// ```
+    pub fn instances(profile: &'static WorkloadProfile) -> impl Iterator<Item = WorkloadGen> {
+        let mut walker = WorkloadGen {
             profile,
-            content: ContentSynthesizer::new(profile, instance),
+            content: ContentSynthesizer::new(profile, 0),
             rng: SplitMix64::new(0xacce55),
             cursor: 0,
             cold_cursor: 0,
             line_repeats_left: 0,
-            base_line: instance * INSTANCE_SPACE_LINES,
+            base_line: 0,
             accesses: 0,
             instructions: 0,
             last_content: std::cell::Cell::new(None),
         };
-        // Phase lag: later instances run the sequence offset by ~20k
-        // accesses per instance index — more than one content region, so
-        // co-scheduled copies never hand gzip in-window duplicates, while a
-        // cache-sized dictionary still holds them (Fig. 15's contrast).
-        for _ in 0..instance * 19_997 {
-            gen.next_access();
-        }
-        gen.accesses = 0;
-        gen.instructions = 0;
-        gen
+        (0..).map(move |instance: u64| {
+            if instance > 0 {
+                for _ in 0..PHASE_LAG_ACCESSES {
+                    walker.next_access();
+                }
+            }
+            WorkloadGen {
+                content: ContentSynthesizer::new(profile, instance),
+                base_line: instance * INSTANCE_SPACE_LINES,
+                accesses: 0,
+                instructions: 0,
+                last_content: std::cell::Cell::new(None),
+                ..walker.clone()
+            }
+        })
     }
 
     /// The profile driving this generator.
@@ -312,6 +359,57 @@ mod tests {
         let dirty = g.store_data(addr);
         assert_ne!(clean, dirty);
         assert!(clean.matching_words(&dirty) >= 15);
+    }
+
+    /// The per-instance replay `WorkloadGen::new` performed before the
+    /// instances of a profile were walked as one family: a fresh generator
+    /// in the instance's address space, stepped through the whole lag of
+    /// its instance index. The oracle for [`WorkloadGen::instances`].
+    fn replayed_instance(profile: &'static WorkloadProfile, instance: u64) -> WorkloadGen {
+        let mut gen = WorkloadGen {
+            profile,
+            content: ContentSynthesizer::new(profile, instance),
+            rng: SplitMix64::new(0xacce55),
+            cursor: 0,
+            cold_cursor: 0,
+            line_repeats_left: 0,
+            base_line: instance * INSTANCE_SPACE_LINES,
+            accesses: 0,
+            instructions: 0,
+            last_content: std::cell::Cell::new(None),
+        };
+        for _ in 0..instance * 19_997 {
+            gen.next_access();
+        }
+        gen.accesses = 0;
+        gen.instructions = 0;
+        gen
+    }
+
+    #[test]
+    fn instance_family_matches_per_instance_replay() {
+        let checked = |i: u64| i <= 16 || i == 70;
+        for p in crate::ALL_WORKLOADS {
+            let family = (0u64..=70).zip(WorkloadGen::instances(p));
+            for (i, mut walked) in family.filter(|&(i, _)| checked(i)) {
+                let mut replayed = replayed_instance(p, i);
+                assert_eq!(
+                    format!("{walked:?}"),
+                    format!("{replayed:?}"),
+                    "{} instance {i}: state",
+                    p.name
+                );
+                for step in 0..2_000 {
+                    let a = walked.next_access();
+                    assert_eq!(a, replayed.next_access(), "{} #{i} step {step}", p.name);
+                    assert_eq!(walked.content(a.addr), replayed.content(a.addr));
+                    if a.is_write {
+                        assert_eq!(walked.store_data(a.addr), replayed.store_data(a.addr));
+                    }
+                }
+                assert_eq!(walked.progress(), replayed.progress());
+            }
+        }
     }
 
     #[test]
