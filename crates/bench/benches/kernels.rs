@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the hot kernels: each compression
-//! engine, the signature/search pipeline, and the end-to-end link request.
+//! engine, the signature/search pipeline, the end-to-end link request, and
+//! the telemetry report flow.
 //!
 //! These measure the *host* cost of the model (lines/second of simulation),
 //! not the modelled hardware latency — Table IV cycle counts cover that.
@@ -218,6 +219,37 @@ fn bench_workload_gen(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_report_flow(c: &mut Criterion) {
+    use cable_sim::{run_group_telemetry, Scheme, SystemConfig};
+    use cable_telemetry::{jsonl, Report, Telemetry};
+
+    // A fixed dealII CABLE+LBE group trace (25,485 events, 2.9 MB of
+    // JSONL), then each step of the report flow on it.
+    let tel = Telemetry::enabled();
+    let profile = cable_trace::by_name("dealII").expect("dealII profile");
+    let config = SystemConfig::paper_defaults();
+    let _ = run_group_telemetry(
+        profile,
+        Scheme::Cable(EngineKind::Lbe),
+        256,
+        2_000,
+        4_000,
+        &config,
+        &tel,
+    );
+    let text = jsonl(&tel);
+    let mut group = c.benchmark_group("report_flow");
+    group.bench_function("events", |b| b.iter(|| tel.events().len()));
+    group.bench_function("jsonl", |b| b.iter(|| jsonl(&tel).len()));
+    group.bench_function("from_telemetry", |b| {
+        b.iter(|| Report::from_telemetry(&tel).events)
+    });
+    group.bench_function("from_jsonl", |b| {
+        b.iter(|| Report::from_jsonl(&text).map(|r| r.events))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engines,
@@ -225,6 +257,7 @@ criterion_group!(
     bench_payload_codec,
     bench_link,
     bench_search,
-    bench_workload_gen
+    bench_workload_gen,
+    bench_report_flow
 );
 criterion_main!(benches);

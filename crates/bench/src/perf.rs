@@ -794,7 +794,7 @@ pub fn run_telemetry_bench() -> FigureResult<'static> {
                     snap.counter("link.remote_hits").unwrap_or(0) as f64,
                     snap.counter("link.wire_bits").unwrap_or(0) as f64,
                     payload_samples as f64,
-                    tel.events().len() as f64,
+                    tel.buffered_events() as f64,
                     tel.dropped_events() as f64,
                     stream_drain_rate(&tel),
                 ],

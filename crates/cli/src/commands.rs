@@ -650,7 +650,11 @@ fn trace(name: &str, instructions: u64, prefix: &str, stream: bool) -> Result<()
         validate_jsonl(&jsonl).map_err(|e| format!("internal error: JSONL export invalid: {e}"))?;
         std::fs::write(&jsonl_path, &jsonl)
             .map_err(|e| format!("cannot write {jsonl_path}: {e}"))?;
-        (tel.events().len() as u64, tel.dropped_events(), jsonl.len())
+        (
+            tel.buffered_events() as u64,
+            tel.dropped_events(),
+            jsonl.len(),
+        )
     };
 
     let snap = tel.snapshot();

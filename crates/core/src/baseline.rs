@@ -11,8 +11,9 @@
 //! multiprogrammed interleaving (Fig. 16's dictionary pollution).
 
 use crate::link::{Direction, LinkStats, LinkTelemetry, Transfer, TransferKind};
+use crate::toggle::count_toggles;
 use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
-use cable_common::{Address, BitReader, LineData, LINE_BYTES};
+use cable_common::{Address, LineData, LINE_BYTES};
 use cable_compress::{Bdi, Compressor, Cpack, Decompressor, Lbe, Lzss};
 use cable_telemetry::{Event, Telemetry};
 use std::fmt;
@@ -338,15 +339,13 @@ impl BaselineLink {
                 Some(encoded)
             }
         };
-        let (payload, kind) = match &encoded {
-            Some(e) if e.len_bits() < LINE_BYTES * 8 => (e.reader(), TransferKind::Unseeded),
-            _ => (
-                BitReader::new(line.as_bytes(), LINE_BYTES * 8),
-                TransferKind::Raw,
-            ),
+        let (payload, payload_bits, kind) = match &encoded {
+            Some(e) if e.len_bits() < LINE_BYTES * 8 => {
+                (e.as_bytes(), e.len_bits(), TransferKind::Unseeded)
+            }
+            _ => (&line.as_bytes()[..], LINE_BYTES * 8, TransferKind::Raw),
         };
 
-        let payload_bits = payload.remaining_bits();
         let width = u64::from(self.link_width_bits);
         let wire_bits = cable_common::div_ceil(payload_bits as u64, width) * width;
         self.stats.uncompressed_bits += (LINE_BYTES * 8) as u64;
@@ -357,7 +356,14 @@ impl BaselineLink {
             TransferKind::Raw => self.stats.raw_transfers += 1,
             _ => self.stats.unseeded_transfers += 1,
         }
-        self.account_toggles(payload);
+        let (toggles, flits) = count_toggles(
+            payload,
+            payload_bits,
+            self.link_width_bits.min(64),
+            &mut self.last_flit,
+        );
+        self.stats.bit_toggles += toggles;
+        self.stats.flits += flits;
         if self.tel.handle.is_enabled() {
             self.tel.count_encode(kind);
             self.tel.wire_bits.add(wire_bits);
@@ -371,21 +377,6 @@ impl BaselineLink {
             });
         }
         transfer_of(kind, direction, payload_bits, wire_bits)
-    }
-
-    fn account_toggles(&mut self, mut payload: BitReader<'_>) {
-        let width = self.link_width_bits.min(64);
-        loop {
-            let take = payload.remaining_bits().min(width as usize);
-            if take == 0 {
-                break;
-            }
-            let flit =
-                payload.read_bits(take as u32).expect("sized read") << (width as usize - take);
-            self.stats.bit_toggles += u64::from((flit ^ self.last_flit).count_ones());
-            self.stats.flits += 1;
-            self.last_flit = flit;
-        }
     }
 }
 

@@ -58,6 +58,7 @@ pub mod search;
 pub mod sig_cache;
 pub mod signature;
 pub mod super_wmt;
+mod toggle;
 pub mod wmt;
 
 pub use baseline::{BaselineKind, BaselineLink};

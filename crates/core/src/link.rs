@@ -20,6 +20,7 @@ use crate::hash_table::SignatureTable;
 use crate::search::{search_references_into, Reference, SearchScratch, SearchStats};
 use crate::sig_cache::InsertSigCache;
 use crate::signature::{SignatureBuf, SignatureExtractor};
+use crate::toggle::count_toggles;
 use crate::wmt::WayMapTable;
 use cable_cache::{CoherenceState, EvictedLine, LineId, SetAssocCache};
 use cable_common::{crc32, Address, BitWriter, LineData, LINE_BYTES};
@@ -1679,77 +1680,14 @@ impl CableLink {
     /// Links wider than 64 bits are accounted in 64-bit sub-words.
     fn account_toggles(&mut self, payload: &BitWriter) {
         let width = self.config.link_width_bits.min(64);
-        // Byte-aligned flits (every shipped config) take the lane path:
-        // consecutive-flit XORs are byte-aligned stream self-XORs, so the
-        // whole payload is charged in 64-bit popcount chunks instead of
-        // one BitReader call per flit. Other widths take the scalar loop.
-        if width.is_multiple_of(8) {
-            self.account_toggles_lanes(payload, width);
-        } else {
-            self.account_toggles_scalar(payload, width);
-        }
-    }
-
-    /// Scalar oracle for [`CableLink::account_toggles`]: the per-flit
-    /// BitReader loop the lane path is tested against, and the only path
-    /// for link widths that are not a whole number of bytes.
-    fn account_toggles_scalar(&mut self, payload: &BitWriter, width: u32) {
-        let mut reader = cable_common::BitReader::new(payload.as_slice(), payload.len_bits());
-        loop {
-            let take = reader.remaining_bits().min(width as usize);
-            if take == 0 {
-                break;
-            }
-            let flit =
-                reader.read_bits(take as u32).expect("sized read") << (width as usize - take);
-            self.stats.bit_toggles += u64::from((flit ^ self.last_flit).count_ones());
-            self.stats.flits += 1;
-            self.last_flit = flit;
-        }
-    }
-
-    /// Lane path: flit `i` XOR flit `i-1` compares stream byte `k` with
-    /// byte `k - width/8`, and the final flit's zero padding matches the
-    /// BitWriter's zeroed tail bits, so the toggle count is one shifted
-    /// self-XOR popcount over the zero-padded payload bytes.
-    fn account_toggles_lanes(&mut self, payload: &BitWriter, width: u32) {
-        let bytes = payload.as_slice();
-        let len_bits = payload.len_bits();
-        if len_bits == 0 {
-            return;
-        }
-        let wb = (width / 8) as usize;
-        let flits = len_bits.div_ceil(width as usize);
-        let padded_len = flits * wb;
-        debug_assert!(bytes.len() <= padded_len);
-        // 8 zero-padded payload bytes starting at `k`, big-endian (stream
-        // order), matching the MSB-first flit values of the scalar loop.
-        let load8 = |k: usize| -> u64 {
-            let mut b = [0u8; 8];
-            if k < bytes.len() {
-                let n = (bytes.len() - k).min(8);
-                b[..n].copy_from_slice(&bytes[k..k + n]);
-            }
-            u64::from_be_bytes(b)
-        };
-        let flit_shift = 8 * (8 - wb as u32);
-        let first = load8(0) >> flit_shift;
-        let mut toggles = u64::from((first ^ self.last_flit).count_ones());
-        let mut k = wb;
-        while k < padded_len {
-            let valid = (padded_len - k).min(8);
-            let mut x = load8(k) ^ load8(k - wb);
-            if valid < 8 {
-                // Mask the overshoot: positions past the padded end would
-                // otherwise compare real last-flit bytes against zeros.
-                x &= u64::MAX << (8 * (8 - valid));
-            }
-            toggles += u64::from(x.count_ones());
-            k += 8;
-        }
+        let (toggles, flits) = count_toggles(
+            payload.as_slice(),
+            payload.len_bits(),
+            width,
+            &mut self.last_flit,
+        );
         self.stats.bit_toggles += toggles;
-        self.stats.flits += flits as u64;
-        self.last_flit = load8(padded_len - wb) >> flit_shift;
+        self.stats.flits += flits;
     }
 
     // ---- verification ---------------------------------------------------
@@ -2322,34 +2260,6 @@ mod tests {
             prop_assert!(link.stats().wire_bits >= link.stats().payload_bits);
         }
 
-        #[test]
-        fn prop_toggle_lanes_match_scalar_oracle(seed in any::<u64>()) {
-            // The lane toggle counter must match the flit-by-flit BitReader
-            // walk exactly: toggles, flit count, and the carried last_flit
-            // (which chains into the next payload's first XOR).
-            let mut rng = SplitMix64::new(seed);
-            for width in [8u32, 16, 24, 32, 40, 48, 56, 64] {
-                let (mut lanes, mut scalar) = (small_link(), small_link());
-                for _ in 0..8 {
-                    let mut payload = BitWriter::new();
-                    let bits = rng.next_bounded(600) as u32;
-                    let mut left = bits;
-                    while left > 0 {
-                        let take = left.min(1 + (rng.next_bounded(64) as u32).min(63));
-                        payload.write_bits(rng.next_u64() >> (64 - take), take);
-                        left -= take;
-                    }
-                    lanes.account_toggles_lanes(&payload, width);
-                    scalar.account_toggles_scalar(&payload, width);
-                    prop_assert_eq!(
-                        lanes.stats.bit_toggles, scalar.stats.bit_toggles,
-                        "toggles diverged at width {}", width
-                    );
-                    prop_assert_eq!(lanes.stats.flits, scalar.stats.flits);
-                    prop_assert_eq!(lanes.last_flit, scalar.last_flit);
-                }
-            }
-        }
     }
 
     fn non_inclusive_link() -> CableLink {

@@ -230,20 +230,36 @@ impl Event {
         }
     }
 
-    /// The event's position in [`TRACKS`] (per-track ring selection).
+    /// The event's position in [`TRACKS`] (per-track ring selection),
+    /// resolved by a `match` so a push never searches the track table.
     #[must_use]
     pub fn track_index(&self) -> usize {
-        let track = self.track();
-        TRACKS
-            .iter()
-            .position(|t| *t == track)
-            .expect("every track name appears in TRACKS")
+        match self {
+            Event::Encode { .. } | Event::Search { .. } | Event::DiffSize { .. } => 0,
+            Event::Nack { .. }
+            | Event::FallbackRaw
+            | Event::Escalation
+            | Event::Retransmit { .. }
+            | Event::FaultInjected { .. }
+            | Event::NoticeDropped
+            | Event::NoticeDelayed
+            | Event::Resync { .. }
+            | Event::EvictBufferHit => 1,
+            Event::SchedWake { .. } => 2,
+            Event::LinkBusy { .. } => 3,
+            Event::DramBusy { .. } => 4,
+            Event::MeshHop { .. } => 5,
+            Event::Phase { .. } | Event::Marker { .. } => 6,
+        }
     }
 
-    /// The event's arguments as a JSON object body (no surrounding
-    /// braces), built from static keys and integer values only.
-    #[must_use]
-    pub fn args_json(&self) -> String {
+    /// Appends the event's arguments to `out` as JSON object members,
+    /// each preceded by a comma (`,"key":value`), so the caller can
+    /// follow any earlier member with them and close the object. Keys
+    /// and string values are static identifiers that need no escaping;
+    /// integers are written by [`push_u64`] rather than `fmt`. This is
+    /// the one args writer behind both exporters.
+    pub fn write_args(&self, out: &mut Vec<u8>) {
         match *self {
             Event::Encode {
                 kind,
@@ -251,45 +267,113 @@ impl Event {
                 payload_bits,
                 wire_bits,
                 refs,
-            } => format!(
-                "\"kind\":\"{kind}\",\"direction\":\"{direction}\",\"payload_bits\":{payload_bits},\"wire_bits\":{wire_bits},\"refs\":{refs}"
-            ),
+            } => {
+                push_str_member(out, "kind", kind);
+                push_str_member(out, "direction", direction);
+                push_int_member(out, "payload_bits", u64::from(payload_bits));
+                push_int_member(out, "wire_bits", u64::from(wire_bits));
+                push_int_member(out, "refs", u64::from(refs));
+            }
             Event::Search {
                 candidates,
                 data_reads,
                 selected,
-            } => format!(
-                "\"candidates\":{candidates},\"data_reads\":{data_reads},\"selected\":{selected}"
-            ),
-            Event::DiffSize { bits } => format!("\"bits\":{bits}"),
-            Event::Nack { class } => format!("\"class\":\"{class}\""),
+            } => {
+                push_int_member(out, "candidates", u64::from(candidates));
+                push_int_member(out, "data_reads", u64::from(data_reads));
+                push_int_member(out, "selected", u64::from(selected));
+            }
+            Event::DiffSize { bits } => push_int_member(out, "bits", u64::from(bits)),
+            Event::Nack { class } => push_str_member(out, "class", class),
             Event::FallbackRaw
             | Event::Escalation
             | Event::NoticeDropped
             | Event::NoticeDelayed
-            | Event::EvictBufferHit => String::new(),
-            Event::Retransmit { wire_bits } => format!("\"wire_bits\":{wire_bits}"),
+            | Event::EvictBufferHit => {}
+            Event::Retransmit { wire_bits } => push_int_member(out, "wire_bits", wire_bits),
             Event::FaultInjected {
                 bit_flips,
                 truncated,
-            } => format!("\"bit_flips\":{bit_flips},\"truncated\":{truncated}"),
-            Event::Resync { repairs } => format!("\"repairs\":{repairs}"),
-            Event::SchedWake { actor } => format!("\"actor\":{actor}"),
+            } => {
+                push_int_member(out, "bit_flips", u64::from(bit_flips));
+                push_key(out, "truncated");
+                out.extend_from_slice(if truncated { b"true" } else { b"false" });
+            }
+            Event::Resync { repairs } => push_int_member(out, "repairs", repairs),
+            Event::SchedWake { actor } => push_int_member(out, "actor", u64::from(actor)),
             Event::LinkBusy { start_ps, dur_ps } | Event::DramBusy { start_ps, dur_ps } => {
-                format!("\"start_ps\":{start_ps},\"dur_ps\":{dur_ps}")
+                push_int_member(out, "start_ps", start_ps);
+                push_int_member(out, "dur_ps", dur_ps);
             }
             Event::MeshHop {
                 hop,
                 depth,
                 start_ps,
                 dur_ps,
-            } => format!(
-                "\"hop\":{hop},\"depth\":{depth},\"start_ps\":{start_ps},\"dur_ps\":{dur_ps}"
-            ),
-            Event::Phase { name } => format!("\"phase\":\"{name}\""),
-            Event::Marker { name, value } => format!("\"name\":\"{name}\",\"value\":{value}"),
+            } => {
+                push_int_member(out, "hop", u64::from(hop));
+                push_int_member(out, "depth", u64::from(depth));
+                push_int_member(out, "start_ps", start_ps);
+                push_int_member(out, "dur_ps", dur_ps);
+            }
+            Event::Phase { name } => push_str_member(out, "phase", name),
+            Event::Marker { name, value } => {
+                push_str_member(out, "name", name);
+                push_int_member(out, "value", value);
+            }
         }
     }
+}
+
+/// The decimal digit pairs `00` to `99`, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, two digits at a time, without going through
+/// `fmt`.
+pub(crate) fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Appends `,"key":`.
+fn push_key(out: &mut Vec<u8>, key: &str) {
+    out.extend_from_slice(b",\"");
+    out.extend_from_slice(key.as_bytes());
+    out.extend_from_slice(b"\":");
+}
+
+/// Appends `,"key":"value"` (both static identifiers, never escaped).
+fn push_str_member(out: &mut Vec<u8>, key: &str, value: &str) {
+    push_key(out, key);
+    out.push(b'"');
+    out.extend_from_slice(value.as_bytes());
+    out.push(b'"');
+}
+
+/// Appends `,"key":value`.
+fn push_int_member(out: &mut Vec<u8>, key: &str, value: u64) {
+    push_key(out, key);
+    push_u64(out, value);
 }
 
 /// An [`Event`] stamped with simulated time and a dense sequence number.
@@ -305,7 +389,7 @@ pub struct TraceEvent {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -364,48 +448,129 @@ mod tests {
         assert_eq!(LaneKind::Mesh.label(), "mesh");
     }
 
-    #[test]
-    fn track_index_covers_every_variant() {
-        for (i, track) in TRACKS.iter().enumerate() {
-            assert_eq!(TRACKS.iter().position(|t| t == track), Some(i));
-        }
-        assert_eq!(Event::FallbackRaw.track_index(), 1);
-        assert_eq!(
+    /// One instance of every variant, each integer at `v` (truncated to
+    /// the field's width).
+    pub(crate) fn every_variant(v: u64) -> Vec<Event> {
+        vec![
+            Event::Encode {
+                kind: "diff",
+                direction: "fill",
+                payload_bits: v as u32,
+                wire_bits: v as u32,
+                refs: v as u8,
+            },
+            Event::Search {
+                candidates: v as u32,
+                data_reads: v as u32,
+                selected: v as u8,
+            },
+            Event::DiffSize { bits: v as u32 },
+            Event::Nack { class: "transient" },
+            Event::FallbackRaw,
+            Event::Escalation,
+            Event::Retransmit { wire_bits: v },
+            Event::FaultInjected {
+                bit_flips: v as u32,
+                truncated: v % 2 == 1,
+            },
+            Event::NoticeDropped,
+            Event::NoticeDelayed,
+            Event::Resync { repairs: v },
+            Event::EvictBufferHit,
+            Event::SchedWake { actor: v as u32 },
+            Event::LinkBusy {
+                start_ps: v,
+                dur_ps: v,
+            },
+            Event::DramBusy {
+                start_ps: v,
+                dur_ps: v,
+            },
             Event::MeshHop {
-                hop: 0,
-                depth: 0,
-                start_ps: 0,
-                dur_ps: 0
-            }
-            .track_index(),
-            5
-        );
-        assert_eq!(Event::Phase { name: "p" }.track_index(), 6);
+                hop: v as u32,
+                depth: v as u32,
+                start_ps: v,
+                dur_ps: v,
+            },
+            Event::Phase { name: "measure" },
+            Event::Marker {
+                name: "m",
+                value: v,
+            },
+        ]
+    }
+
+    #[test]
+    fn track_index_matches_the_track_table_for_every_variant() {
+        let events = every_variant(1);
+        assert_eq!(events.len(), 18, "one instance per variant");
+        for e in &events {
+            assert_eq!(TRACKS[e.track_index()], e.track(), "{e:?}");
+        }
+    }
+
+    fn args(e: &Event) -> String {
+        let mut out = Vec::new();
+        e.write_args(&mut out);
+        String::from_utf8(out).expect("args are UTF-8")
     }
 
     #[test]
     fn phase_args_avoid_the_name_key() {
         // The exporter's event lines already carry a "name" key (the event
         // name), so phase labels ride under "phase" to stay unambiguous.
-        let body = Event::Phase { name: "measure" }.args_json();
-        assert_eq!(body, "\"phase\":\"measure\"");
+        assert_eq!(
+            args(&Event::Phase { name: "measure" }),
+            ",\"phase\":\"measure\""
+        );
     }
 
     #[test]
-    fn args_are_json_object_bodies() {
-        let body = Event::Encode {
+    fn args_are_comma_led_object_members() {
+        let body = args(&Event::Encode {
             kind: "diff",
             direction: "fill",
             payload_bits: 100,
             wire_bits: 112,
             refs: 2,
-        }
-        .args_json();
-        assert!(body.contains("\"kind\":\"diff\""));
+        });
+        assert!(body.starts_with(",\"kind\":\"diff\""), "{body}");
         assert!(body.contains("\"refs\":2"));
-        assert!(!body.starts_with('{'));
-        assert_eq!(Event::Escalation.args_json(), "");
-        let wrapped = format!("{{{}}}", body);
-        crate::json::validate_json(&wrapped).expect("args body forms a valid object");
+        assert_eq!(args(&Event::Escalation), "");
+        for e in every_variant(u64::MAX) {
+            let wrapped = format!("{{\"seq\":0{}}}", args(&e));
+            crate::json::validate_json(&wrapped).expect("args extend a valid object");
+        }
+    }
+
+    #[test]
+    fn push_u64_matches_display() {
+        // Every power of ten and its neighbours, where digit counts change.
+        let mut values = vec![0, u64::MAX - 1, u64::MAX];
+        let mut p = 1u64;
+        while let Some(next) = p.checked_mul(10) {
+            values.extend([p - 1, p, p + 1, p * 5]);
+            p = next;
+        }
+        for v in values {
+            let mut out = b"x".to_vec();
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}").into_bytes());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn push_u64_matches_display_for_any_value(
+            v in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let v = v >> shift;
+            let mut out = Vec::new();
+            push_u64(&mut out, v);
+            proptest::prop_assert_eq!(out, v.to_string().into_bytes());
+        }
     }
 }

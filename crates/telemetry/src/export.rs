@@ -12,8 +12,12 @@
 //! [`chrome_trace`]) are thin wrappers driving the same sinks over an
 //! in-memory buffer — byte-identical by construction, kept for tests and
 //! small traces.
+//!
+//! Event lines are the bulk of every trace, so the sinks build them as
+//! bytes: each sink reuses one line buffer, [`Event::write_args`] appends
+//! the arguments, and integers are written without `fmt`.
 
-use crate::event::{Event, TraceEvent, TRACKS};
+use crate::event::{push_u64, Event, TraceEvent, TRACKS};
 use crate::json::{self, int_array};
 use crate::registry::{MetricValue, Snapshot};
 use crate::sink::EventSink;
@@ -42,12 +46,17 @@ use std::io::{self, Write};
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     w: W,
+    /// The event line being built, reused across events.
+    line: Vec<u8>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wraps `w`; nothing is written until the first `write_*` call.
     pub fn new(w: W) -> Self {
-        JsonlSink { w }
+        JsonlSink {
+            w,
+            line: Vec::new(),
+        }
     }
 
     /// Creates a streaming sink: writes the `"streaming":true` meta
@@ -130,16 +139,19 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write + Send> EventSink for JsonlSink<W> {
     fn write_event(&mut self, te: &TraceEvent) -> io::Result<()> {
-        let args = te.event.args_json();
-        let sep = if args.is_empty() { "" } else { "," };
-        writeln!(
-            self.w,
-            "{{\"type\":\"event\",\"name\":\"{}\",\"track\":\"{}\",\"now_ps\":{},\"seq\":{}{sep}{args}}}",
-            te.event.name(),
-            te.event.track(),
-            te.now_ps,
-            te.seq
-        )
+        let line = &mut self.line;
+        line.clear();
+        line.extend_from_slice(b"{\"type\":\"event\",\"name\":\"");
+        line.extend_from_slice(te.event.name().as_bytes());
+        line.extend_from_slice(b"\",\"track\":\"");
+        line.extend_from_slice(te.event.track().as_bytes());
+        line.extend_from_slice(b"\",\"now_ps\":");
+        push_u64(line, te.now_ps);
+        line.extend_from_slice(b",\"seq\":");
+        push_u64(line, te.seq);
+        te.event.write_args(line);
+        line.extend_from_slice(b"}\n");
+        self.w.write_all(line)
     }
 
     fn finish(&mut self, snapshot: &Snapshot, events_total: u64, dropped: u64) -> io::Result<()> {
@@ -163,6 +175,8 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 #[derive(Debug)]
 pub struct ChromeTraceSink<W: Write> {
     w: W,
+    /// The event element being built, reused across events.
+    line: Vec<u8>,
 }
 
 impl<W: Write> ChromeTraceSink<W> {
@@ -172,7 +186,10 @@ impl<W: Write> ChromeTraceSink<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn new(w: W) -> io::Result<Self> {
-        let mut sink = ChromeTraceSink { w };
+        let mut sink = ChromeTraceSink {
+            w,
+            line: Vec::new(),
+        };
         write!(sink.w, "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
         for (tid, track) in TRACKS.iter().enumerate() {
             write!(
@@ -204,36 +221,34 @@ impl<W: Write> ChromeTraceSink<W> {
 
 impl<W: Write + Send> EventSink for ChromeTraceSink<W> {
     fn write_event(&mut self, te: &TraceEvent) -> io::Result<()> {
-        let args = te.event.args_json();
-        let args = if args.is_empty() {
-            format!("\"seq\":{}", te.seq)
-        } else {
-            format!("\"seq\":{},{args}", te.seq)
-        };
-        let tid = te.event.track_index() + 1;
-        match te.event {
+        let line = &mut self.line;
+        line.clear();
+        // Busy intervals are durations anchored at their own start;
+        // everything else is an instant at the event's stamp.
+        let (ph, ts, dur) = match te.event {
             Event::LinkBusy { start_ps, dur_ps }
             | Event::DramBusy { start_ps, dur_ps }
             | Event::MeshHop {
                 start_ps, dur_ps, ..
-            } => {
-                write!(
-                    self.w,
-                    ",{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
-                    te.event.name(),
-                    ps_to_us(start_ps),
-                    ps_to_us(dur_ps)
-                )
-            }
-            _ => {
-                write!(
-                    self.w,
-                    ",{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"args\":{{{args}}}}}",
-                    te.event.name(),
-                    ps_to_us(te.now_ps)
-                )
-            }
+            } => (&b",{\"ph\":\"X\""[..], start_ps, Some(dur_ps)),
+            _ => (&b",{\"ph\":\"i\",\"s\":\"t\""[..], te.now_ps, None),
+        };
+        line.extend_from_slice(ph);
+        line.extend_from_slice(b",\"pid\":1,\"tid\":");
+        push_u64(line, te.event.track_index() as u64 + 1);
+        line.extend_from_slice(b",\"name\":\"");
+        line.extend_from_slice(te.event.name().as_bytes());
+        line.extend_from_slice(b"\",\"ts\":");
+        push_ps_as_us(line, ts);
+        if let Some(dur) = dur {
+            line.extend_from_slice(b",\"dur\":");
+            push_ps_as_us(line, dur);
         }
+        line.extend_from_slice(b",\"args\":{\"seq\":");
+        push_u64(line, te.seq);
+        te.event.write_args(line);
+        line.extend_from_slice(b"}}");
+        self.w.write_all(line)
     }
 
     fn finish(
@@ -246,16 +261,22 @@ impl<W: Write + Send> EventSink for ChromeTraceSink<W> {
     }
 }
 
+/// A generous average JSONL line length, for pre-sizing [`jsonl`]'s
+/// buffer (event lines run 90–160 bytes).
+const JSONL_LINE_BYTES: usize = 128;
+
 /// Exports `tel` as JSONL: one meta line, one line per metric, then one
 /// line per trace event (oldest first). A thin wrapper over
 /// [`JsonlSink`] writing to memory — see that type for the line shapes.
 #[must_use]
 pub fn jsonl(tel: &Telemetry) -> String {
     let events = tel.events();
-    let mut sink = JsonlSink::new(Vec::new());
+    let snapshot = tel.snapshot();
+    let lines = 1 + snapshot.metrics.len() + events.len();
+    let mut sink = JsonlSink::new(Vec::with_capacity(lines * JSONL_LINE_BYTES));
     sink.write_meta(events.len() as u64, tel.dropped_events())
         .expect("in-memory writes cannot fail");
-    for metric in &tel.snapshot().metrics {
+    for metric in &snapshot.metrics {
         sink.write_metric(metric)
             .expect("in-memory writes cannot fail");
     }
@@ -265,17 +286,23 @@ pub fn jsonl(tel: &Telemetry) -> String {
     String::from_utf8(sink.into_inner()).expect("exporter writes UTF-8")
 }
 
-/// Formats picoseconds as Chrome-trace microseconds (`ps / 1e6`) using
-/// integer math so the output is deterministic and exact.
-fn ps_to_us(ps: u64) -> String {
-    let whole = ps / 1_000_000;
-    let frac = ps % 1_000_000;
+/// Appends picoseconds as Chrome-trace microseconds (`ps / 1e6`) using
+/// integer math, so the output is deterministic and exact: the whole
+/// part, then up to six fraction digits with trailing zeros trimmed.
+fn push_ps_as_us(out: &mut Vec<u8>, ps: u64) {
+    push_u64(out, ps / 1_000_000);
+    let mut frac = ps % 1_000_000;
     if frac == 0 {
-        format!("{whole}")
-    } else {
-        let digits = format!("{frac:06}");
-        format!("{whole}.{}", digits.trim_end_matches('0'))
+        return;
     }
+    let mut digits = [b'0'; 6];
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    let len = digits.len() - digits.iter().rev().take_while(|&&d| d == b'0').count();
+    out.push(b'.');
+    out.extend_from_slice(&digits[..len]);
 }
 
 /// Exports the trace as a Chrome `trace_event` JSON object, viewable in
@@ -353,13 +380,154 @@ mod tests {
         json::validate_json(&chrome_trace(&off)).expect("disabled trace");
     }
 
+    fn us(ps: u64) -> String {
+        let mut out = Vec::new();
+        push_ps_as_us(&mut out, ps);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
-    fn ps_to_us_is_exact_integer_math() {
-        assert_eq!(ps_to_us(0), "0");
-        assert_eq!(ps_to_us(1_000_000), "1");
-        assert_eq!(ps_to_us(1_500_000), "1.5");
-        assert_eq!(ps_to_us(1_000_001), "1.000001");
-        assert_eq!(ps_to_us(123), "0.000123");
+    fn ps_as_us_is_exact_integer_math() {
+        assert_eq!(us(0), "0");
+        assert_eq!(us(1_000_000), "1");
+        assert_eq!(us(1_500_000), "1.5");
+        assert_eq!(us(1_000_001), "1.000001");
+        assert_eq!(us(123), "0.000123");
+        assert_eq!(us(u64::MAX), "18446744073709.551615");
+        for ps in [10, 100_000, 999_999, 1_234_560, u64::from(u32::MAX)] {
+            assert_eq!(us(ps), oracle::ps_to_us(ps), "{ps}");
+        }
+    }
+
+    /// The `format!` line builders the byte writers replaced, kept as the
+    /// oracle they are held to.
+    mod oracle {
+        use crate::event::{Event, TraceEvent};
+
+        pub(super) fn args_json(e: &Event) -> String {
+            match *e {
+                Event::Encode {
+                    kind,
+                    direction,
+                    payload_bits,
+                    wire_bits,
+                    refs,
+                } => format!(
+                    "\"kind\":\"{kind}\",\"direction\":\"{direction}\",\"payload_bits\":{payload_bits},\"wire_bits\":{wire_bits},\"refs\":{refs}"
+                ),
+                Event::Search {
+                    candidates,
+                    data_reads,
+                    selected,
+                } => format!(
+                    "\"candidates\":{candidates},\"data_reads\":{data_reads},\"selected\":{selected}"
+                ),
+                Event::DiffSize { bits } => format!("\"bits\":{bits}"),
+                Event::Nack { class } => format!("\"class\":\"{class}\""),
+                Event::FallbackRaw
+                | Event::Escalation
+                | Event::NoticeDropped
+                | Event::NoticeDelayed
+                | Event::EvictBufferHit => String::new(),
+                Event::Retransmit { wire_bits } => format!("\"wire_bits\":{wire_bits}"),
+                Event::FaultInjected {
+                    bit_flips,
+                    truncated,
+                } => format!("\"bit_flips\":{bit_flips},\"truncated\":{truncated}"),
+                Event::Resync { repairs } => format!("\"repairs\":{repairs}"),
+                Event::SchedWake { actor } => format!("\"actor\":{actor}"),
+                Event::LinkBusy { start_ps, dur_ps } | Event::DramBusy { start_ps, dur_ps } => {
+                    format!("\"start_ps\":{start_ps},\"dur_ps\":{dur_ps}")
+                }
+                Event::MeshHop {
+                    hop,
+                    depth,
+                    start_ps,
+                    dur_ps,
+                } => format!(
+                    "\"hop\":{hop},\"depth\":{depth},\"start_ps\":{start_ps},\"dur_ps\":{dur_ps}"
+                ),
+                Event::Phase { name } => format!("\"phase\":\"{name}\""),
+                Event::Marker { name, value } => {
+                    format!("\"name\":\"{name}\",\"value\":{value}")
+                }
+            }
+        }
+
+        pub(super) fn ps_to_us(ps: u64) -> String {
+            let whole = ps / 1_000_000;
+            let frac = ps % 1_000_000;
+            if frac == 0 {
+                format!("{whole}")
+            } else {
+                let digits = format!("{frac:06}");
+                format!("{whole}.{}", digits.trim_end_matches('0'))
+            }
+        }
+
+        pub(super) fn jsonl_line(te: &TraceEvent) -> String {
+            let args = args_json(&te.event);
+            let sep = if args.is_empty() { "" } else { "," };
+            format!(
+                "{{\"type\":\"event\",\"name\":\"{}\",\"track\":\"{}\",\"now_ps\":{},\"seq\":{}{sep}{args}}}\n",
+                te.event.name(),
+                te.event.track(),
+                te.now_ps,
+                te.seq
+            )
+        }
+
+        pub(super) fn chrome_element(te: &TraceEvent) -> String {
+            let args = args_json(&te.event);
+            let args = if args.is_empty() {
+                format!("\"seq\":{}", te.seq)
+            } else {
+                format!("\"seq\":{},{args}", te.seq)
+            };
+            let tid = te.event.track_index() + 1;
+            match te.event {
+                Event::LinkBusy { start_ps, dur_ps }
+                | Event::DramBusy { start_ps, dur_ps }
+                | Event::MeshHop {
+                    start_ps, dur_ps, ..
+                } => format!(
+                    ",{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"dur\":{},\"args\":{{{args}}}}}",
+                    te.event.name(),
+                    ps_to_us(start_ps),
+                    ps_to_us(dur_ps)
+                ),
+                _ => format!(
+                    ",{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"name\":\"{}\",\"ts\":{},\"args\":{{{args}}}}}",
+                    te.event.name(),
+                    ps_to_us(te.now_ps)
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn byte_writers_match_the_format_oracle_for_every_variant() {
+        let values = [0, 1_500_000, u64::from(u32::MAX), u64::MAX];
+        for v in values {
+            for event in crate::event::tests::every_variant(v) {
+                for (now_ps, seq) in [(v, v), (v / 3, 7)] {
+                    let te = TraceEvent { now_ps, seq, event };
+                    let mut sink = JsonlSink::new(Vec::new());
+                    sink.write_event(&te).unwrap();
+                    assert_eq!(
+                        String::from_utf8(sink.into_inner()).unwrap(),
+                        oracle::jsonl_line(&te)
+                    );
+                    let mut sink = ChromeTraceSink::new(Vec::new()).unwrap();
+                    let header = sink.w.len();
+                    sink.write_event(&te).unwrap();
+                    assert_eq!(
+                        String::from_utf8(sink.into_inner()[header..].to_vec()).unwrap(),
+                        oracle::chrome_element(&te)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

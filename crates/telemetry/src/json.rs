@@ -17,7 +17,12 @@
 //!   allocate;
 //! - **depth-limited** — objects and arrays nest at most `MAX_DEPTH`
 //!   (128) deep; deeper input is an error, so hostile input can never
-//!   recurse the parser into a stack overflow.
+//!   recurse the parser into a stack overflow;
+//! - **cheap per line** — members and items collect on two stacks the
+//!   parser keeps, so a finished object or array is one exactly-sized
+//!   allocation; [`for_each_line`] reuses one parser for every line of a
+//!   JSONL text, and with it each line's top-level member list; integers
+//!   accumulate while their digits are scanned.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -26,7 +31,12 @@ use std::fmt::Write as _;
 pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value borrowing its strings from the input text.
+///
+/// The tag takes a whole word, so the parser moves values as aligned
+/// words; with a byte tag, every move split around it and stalled the
+/// loads that read it back.
 #[derive(Clone, Debug, PartialEq)]
+#[repr(u64)]
 pub enum Value<'a> {
     /// `null`.
     Null,
@@ -91,19 +101,39 @@ impl Value<'_> {
 /// syntax violation, or of the first object or array nested more than
 /// 128 deep.
 pub fn parse(s: &str) -> Result<Value<'_>, String> {
-    let mut p = Parser {
-        text: s,
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
+    Parser::default().parse(s)
+}
+
+/// Parses every non-blank line of `s` as one JSON value and hands `f`
+/// the 1-based line number with the result, stopping at the first error
+/// `f` returns. One parser serves all lines: its stacks are allocated
+/// once per text, and each line's top-level object hands its member list
+/// back for the next line once `f` is done with it.
+///
+/// # Errors
+///
+/// Returns the first error `f` returns.
+pub(crate) fn for_each_line<'a>(
+    s: &'a str,
+    mut f: impl FnMut(usize, Result<&Value<'a>, String>) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut parser = Parser::default();
+    for (i, line) in s.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match parser.parse(line) {
+            Ok(value) => {
+                f(i + 1, Ok(&value))?;
+                if let Value::Obj(mut members) = value {
+                    members.clear();
+                    parser.spare = members;
+                }
+            }
+            Err(e) => f(i + 1, Err(e))?,
+        }
     }
-    Ok(v)
+    Ok(())
 }
 
 /// Validates that `s` is one well-formed JSON value (with optional
@@ -126,24 +156,46 @@ pub fn validate_json(s: &str) -> Result<(), String> {
 /// Returns the first offending line number (1-based) and the underlying
 /// syntax error.
 pub fn validate_jsonl(s: &str) -> Result<(), String> {
-    for (lineno, line) in s.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-    }
-    Ok(())
+    for_each_line(s, |lineno, parsed| {
+        parsed.map(drop).map_err(|e| format!("line {lineno}: {e}"))
+    })
 }
 
+#[derive(Default)]
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Objects and arrays currently open.
     depth: usize,
+    /// Members of the open objects, innermost last.
+    members: Vec<(Cow<'a, str>, Value<'a>)>,
+    /// An empty member list to take over as the stack when a top-level
+    /// object claims the current one (see [`for_each_line`]).
+    spare: Vec<(Cow<'a, str>, Value<'a>)>,
+    /// Items of the open arrays, innermost last.
+    items: Vec<Value<'a>>,
 }
 
 impl<'a> Parser<'a> {
+    /// Parses `s` as one JSON value, reusing this parser's stacks.
+    fn parse(&mut self, s: &'a str) -> Result<Value<'a>, String> {
+        self.text = s;
+        self.bytes = s.as_bytes();
+        self.pos = 0;
+        self.depth = 0;
+        // An earlier error can leave an open value's entries behind.
+        self.members.clear();
+        self.items.clear();
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(v)
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -189,11 +241,11 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value<'a>, String> {
-        let mut pairs = Vec::new();
+        let mark = self.members.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(pairs));
+            return Ok(Value::Obj(Vec::new()));
         }
         loop {
             self.skip_ws();
@@ -207,13 +259,25 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
             self.skip_ws();
-            pairs.push((key, self.value()?));
+            // Strings and numbers, most members, skip the dispatch.
+            let value = match self.peek() {
+                Some(b'"') => Value::Str(self.string()?),
+                Some(b'-' | b'0'..=b'9') => self.number()?,
+                _ => self.value()?,
+            };
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Obj(pairs));
+                    if self.depth == 1 {
+                        // The top-level object owns the whole stack: take
+                        // it as is and continue on the spare list.
+                        let spare = std::mem::take(&mut self.spare);
+                        return Ok(Value::Obj(std::mem::replace(&mut self.members, spare)));
+                    }
+                    return Ok(Value::Obj(self.members.drain(mark..).collect()));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
@@ -221,21 +285,22 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Value<'a>, String> {
-        let mut items = Vec::new();
+        let mark = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(Value::Arr(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(Value::Arr(self.items.drain(mark..).collect()));
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
@@ -356,13 +421,20 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value<'a>, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
+        // The integer part, accumulated while it is scanned; `None` once
+        // it overflows `u64`.
+        let mut int = Some(0u64);
         match self.peek() {
             Some(b'0') => self.pos += 1,
             Some(b'1'..=b'9') => {
-                self.digits();
+                while let Some(d @ b'0'..=b'9') = self.peek() {
+                    int = int.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+                    self.pos += 1;
+                }
             }
             _ => return Err(format!("invalid number at byte {start}")),
         }
@@ -384,13 +456,14 @@ impl<'a> Parser<'a> {
                 return Err(format!("invalid exponent at byte {}", self.pos));
             }
         }
-        let text = &self.text[start..self.pos];
-        if integral {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Int(v));
-            }
+        // Exactly the numbers `str::parse::<u64>` accepts are `Int`: the
+        // non-negative integers that fit. Everything else (negative,
+        // fractional, exponent, overflowed) is a `Float`.
+        if let (true, false, Some(v)) = (integral, negative, int) {
+            return Ok(Value::Int(v));
         }
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Float)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
@@ -591,8 +664,79 @@ mod tests {
         ]
     }
 
+    /// `text` must parse exactly as `str::parse` splits it: an `Int` when
+    /// it parses as a `u64`, otherwise a `Float` with identical bits.
+    fn assert_number_split(text: &str) {
+        let expected = match text.parse::<u64>() {
+            Ok(v) => Value::Int(v),
+            Err(_) => Value::Float(text.parse::<f64>().expect("a JSON number is an f64")),
+        };
+        for wrapped in [
+            text.to_string(),
+            format!("[{text}]"),
+            format!("{{\"n\":{text}}}"),
+        ] {
+            let got = parse(&wrapped).unwrap_or_else(|e| panic!("{wrapped:?}: {e}"));
+            let got = match got {
+                Value::Arr(mut items) => items.remove(0),
+                Value::Obj(mut pairs) => pairs.remove(0).1,
+                v => v,
+            };
+            match (&got, &expected) {
+                (Value::Float(a), Value::Float(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{wrapped:?}");
+                }
+                _ => assert_eq!(got, expected, "{wrapped:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn integers_around_u64_max_split_like_str_parse() {
+        for text in [
+            "0",
+            "-0",
+            "1",
+            "-1",
+            "9999999999999999999",
+            "10000000000000000000",
+            "18446744073709551614",
+            "18446744073709551615",
+            "18446744073709551616",
+            "18446744073709551620",
+            "99999999999999999999",
+            "100000000000000000000",
+            "184467440737095516150",
+        ] {
+            assert_number_split(text);
+        }
+        assert_eq!(parse("-0").unwrap(), Value::Float(-0.0));
+        assert!(parse("-0").unwrap().as_u64().is_some_and(|v| v == 0));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn digit_strings_split_like_str_parse(
+            digits in proptest::collection::vec(0u8..10, 1..=21),
+            negative in any::<bool>(),
+        ) {
+            let digits: String = digits.iter().map(|d| char::from(b'0' + d)).collect();
+            let text = format!("{}{digits}", if negative { "-" } else { "" });
+            if digits.len() > 1 && digits.starts_with('0') {
+                prop_assert!(parse(&text).is_err(), "leading zero accepted: {}", text);
+            } else {
+                assert_number_split(&text);
+            }
+        }
+
+        #[test]
+        fn values_near_u64_max_split_like_str_parse(delta in 0u64..2_000_000, scale in 0usize..3) {
+            // 19–21-digit values straddling u64::MAX.
+            let v = (u128::from(u64::MAX) - 1_000_000 + u128::from(delta)) * [1, 10, 100][scale];
+            assert_number_split(&v.to_string());
+        }
 
         #[test]
         fn escaped_strings_parse_back(chars in proptest::collection::vec(arb_char(), 0..48)) {

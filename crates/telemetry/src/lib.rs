@@ -295,6 +295,16 @@ impl Telemetry {
         }
     }
 
+    /// How many events [`Self::events`] would return, without building
+    /// them.
+    #[must_use]
+    pub fn buffered_events(&self) -> usize {
+        match &self.inner {
+            Some(inner) => inner.tracer.len(),
+            None => 0,
+        }
+    }
+
     /// Events dropped because the ring buffer was full.
     #[must_use]
     pub fn dropped_events(&self) -> u64 {

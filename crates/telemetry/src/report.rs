@@ -94,6 +94,14 @@ pub struct PhaseReport {
 }
 
 impl PhaseReport {
+    fn lane_mut(&mut self, lane: LaneKind) -> &mut Lane {
+        match lane {
+            LaneKind::Link => &mut self.link,
+            LaneKind::Dram => &mut self.dram,
+            LaneKind::Mesh => &mut self.mesh,
+        }
+    }
+
     /// NACKs per thousand wire-crossing encodes, rounded to nearest
     /// (integer so the JSON artifact stays byte-deterministic).
     #[must_use]
@@ -243,8 +251,9 @@ impl Report {
     /// for full coverage.)
     #[must_use]
     pub fn from_telemetry(tel: &Telemetry) -> Self {
-        let mut samples = Vec::new();
-        for te in tel.events() {
+        let events = tel.events();
+        let mut samples = Vec::with_capacity(events.len());
+        for te in events {
             let sample = match te.event {
                 Event::Encode { kind, .. } => Sample::Encode(match kind {
                     "raw" => EncodeKind::Raw,
@@ -326,7 +335,9 @@ impl Report {
     /// more than one per thousand non-blank lines are malformed — above
     /// that the trace is treated as corrupt rather than merely frayed.
     pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        let mut samples = Vec::new();
+        // Exported event lines run 70–160 bytes, so this holds one sample
+        // per event without regrowing.
+        let mut samples = Vec::with_capacity(text.len() / 64);
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut hists = Vec::new();
@@ -334,14 +345,11 @@ impl Report {
         let mut lines = 0u64;
         let mut malformed = 0u64;
         let mut first_error: Option<String> = None;
-        for (lineno, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
+        json::for_each_line(text, |lineno, parsed| {
             lines += 1;
-            let parsed = json::parse(line).and_then(|val| {
+            let applied = parsed.and_then(|val| {
                 apply_trace_line(
-                    &val,
+                    val,
                     &mut samples,
                     &mut counters,
                     &mut gauges,
@@ -349,13 +357,14 @@ impl Report {
                     &mut dropped,
                 )
             });
-            if let Err(e) = parsed {
+            if let Err(e) = applied {
                 malformed += 1;
                 if first_error.is_none() {
-                    first_error = Some(format!("line {}: {e}", lineno + 1));
+                    first_error = Some(format!("line {lineno}: {e}"));
                 }
             }
-        }
+            Ok(())
+        })?;
         if malformed * 1000 > lines {
             let first = first_error.unwrap_or_default();
             return Err(format!(
@@ -1300,7 +1309,7 @@ fn aggregate(
         } = s.sample
         {
             span_start = span_start.min(start_ps);
-            span_end = span_end.max(start_ps + dur_ps);
+            span_end = span_end.max(busy_end(start_ps, dur_ps));
         }
     }
     if span_start == u64::MAX {
@@ -1357,14 +1366,10 @@ fn aggregate(
         {
             for p in &mut phases {
                 let lo = start_ps.max(p.start_ps);
-                let hi = (start_ps + dur_ps).min(p.end_ps);
+                let hi = busy_end(start_ps, dur_ps).min(p.end_ps);
                 if hi > lo {
-                    let lane_ref = match lane {
-                        LaneKind::Link => &mut p.link,
-                        LaneKind::Dram => &mut p.dram,
-                        LaneKind::Mesh => &mut p.mesh,
-                    };
-                    lane_ref.busy_ps += hi - lo;
+                    let lane = p.lane_mut(lane);
+                    lane.busy_ps = lane.busy_ps.saturating_add(hi - lo);
                 }
             }
             continue;
@@ -1406,45 +1411,21 @@ fn aggregate(
         if width == 0 {
             continue;
         }
-        for lane in LaneKind::ALL {
-            let mut buckets = [0u64; TIMELINE_BUCKETS];
-            for s in &samples {
-                let Sample::Busy {
-                    lane: l,
-                    start_ps,
-                    dur_ps,
-                    ..
-                } = s.sample
-                else {
-                    continue;
-                };
-                if l != lane {
-                    continue;
-                }
-                for (b, bucket) in buckets.iter_mut().enumerate() {
-                    let b_lo = p.start_ps + width * b as u64 / TIMELINE_BUCKETS as u64;
-                    let b_hi = p.start_ps + width * (b as u64 + 1) / TIMELINE_BUCKETS as u64;
-                    let lo = start_ps.max(b_lo);
-                    let hi = (start_ps + dur_ps).min(b_hi);
-                    if hi > lo {
-                        *bucket += hi - lo;
-                    }
-                }
+        let edges = bucket_edges(p.start_ps, width);
+        let mut busy = [[0u64; TIMELINE_BUCKETS]; LaneKind::ALL.len()];
+        for s in &samples {
+            if let Sample::Busy {
+                lane,
+                start_ps,
+                dur_ps,
+                ..
+            } = s.sample
+            {
+                clip_into(&mut busy[lane as usize], &edges, start_ps, dur_ps);
             }
-            let lane_ref = match lane {
-                LaneKind::Link => &mut p.link,
-                LaneKind::Dram => &mut p.dram,
-                LaneKind::Mesh => &mut p.mesh,
-            };
-            lane_ref.util_permille = buckets
-                .iter()
-                .enumerate()
-                .map(|(b, &busy)| {
-                    let b_lo = p.start_ps + width * b as u64 / TIMELINE_BUCKETS as u64;
-                    let b_hi = p.start_ps + width * (b as u64 + 1) / TIMELINE_BUCKETS as u64;
-                    (busy * 1000).checked_div(b_hi - b_lo).unwrap_or(0)
-                })
-                .collect();
+        }
+        for (lane, buckets) in LaneKind::ALL.into_iter().zip(&busy) {
+            p.lane_mut(lane).util_permille = timeline_permille(buckets, &edges);
         }
     }
 
@@ -1459,6 +1440,7 @@ fn aggregate(
         bucket_busy: [u64; TIMELINE_BUCKETS],
     }
     let span_width = span_end - span_start;
+    let span_edges = bucket_edges(span_start, span_width);
     let mut hop_accs: BTreeMap<u64, HopAcc> = BTreeMap::new();
     for s in &samples {
         let Sample::Busy {
@@ -1476,18 +1458,12 @@ fn aggregate(
             depths: Vec::new(),
             bucket_busy: [0; TIMELINE_BUCKETS],
         });
-        acc.busy_ps += (start_ps + dur_ps).min(span_end) - start_ps.max(span_start);
+        acc.busy_ps = acc
+            .busy_ps
+            .saturating_add(busy_end(start_ps, dur_ps).min(span_end) - start_ps.max(span_start));
         acc.slices += 1;
         acc.depths.push(depth);
-        for (b, bucket) in acc.bucket_busy.iter_mut().enumerate() {
-            let b_lo = span_start + span_width * b as u64 / TIMELINE_BUCKETS as u64;
-            let b_hi = span_start + span_width * (b as u64 + 1) / TIMELINE_BUCKETS as u64;
-            let lo = start_ps.max(b_lo);
-            let hi = (start_ps + dur_ps).min(b_hi);
-            if hi > lo {
-                *bucket += hi - lo;
-            }
-        }
+        clip_into(&mut acc.bucket_busy, &span_edges, start_ps, dur_ps);
     }
     // Counter slots per hop: bits, transfers, nacks, faults,
     // retransmitted bits.
@@ -1504,7 +1480,8 @@ fn aggregate(
             "retransmitted_bits" => 4,
             _ => continue,
         };
-        hop_counts.entry(u64::from(hop)).or_default()[slot] += *value;
+        let count = &mut hop_counts.entry(u64::from(hop)).or_default()[slot];
+        *count = count.saturating_add(*value);
     }
     let mut hop_ids: Vec<u64> = hop_accs.keys().chain(hop_counts.keys()).copied().collect();
     hop_ids.sort_unstable();
@@ -1524,16 +1501,7 @@ fn aggregate(
                 let util: Vec<u64> = if span_width == 0 {
                     Vec::new()
                 } else {
-                    acc.bucket_busy
-                        .iter()
-                        .enumerate()
-                        .map(|(b, &busy)| {
-                            let b_lo = span_start + span_width * b as u64 / TIMELINE_BUCKETS as u64;
-                            let b_hi =
-                                span_start + span_width * (b as u64 + 1) / TIMELINE_BUCKETS as u64;
-                            (busy * 1000).checked_div(b_hi - b_lo).unwrap_or(0)
-                        })
-                        .collect()
+                    timeline_permille(&acc.bucket_busy, &span_edges)
                 };
                 (acc.busy_ps, acc.slices, util, rank(50), rank(99))
             }
@@ -1552,7 +1520,7 @@ fn aggregate(
         hops.push(HopReport {
             hop,
             busy_ps,
-            busy_permille: (busy_ps * 1000).checked_div(span_width).unwrap_or(0),
+            busy_permille: permille(busy_ps, span_width),
             transfers: if counts[1] > 0 { counts[1] } else { slices },
             bits: counts[0],
             depth_p50,
@@ -1595,6 +1563,50 @@ fn aggregate(
     }
 }
 
+/// The end of a busy interval. Sums and products over trace values
+/// saturate or widen rather than overflow, so a hostile trace cannot
+/// panic the report.
+fn busy_end(start_ps: u64, dur_ps: u64) -> u64 {
+    start_ps.saturating_add(dur_ps)
+}
+
+/// The [`TIMELINE_BUCKETS`] + 1 bucket edges of the span
+/// `[start, start + width)`.
+fn bucket_edges(start: u64, width: u64) -> [u64; TIMELINE_BUCKETS + 1] {
+    std::array::from_fn(|b| {
+        start + (u128::from(width) * b as u128 / TIMELINE_BUCKETS as u128) as u64
+    })
+}
+
+/// Adds the overlap of the busy interval `[start_ps, start_ps + dur_ps)`
+/// with each bucket of `edges` to `buckets`.
+fn clip_into(buckets: &mut [u64; TIMELINE_BUCKETS], edges: &[u64], start_ps: u64, dur_ps: u64) {
+    let end = busy_end(start_ps, dur_ps);
+    for (b, bucket) in buckets.iter_mut().enumerate() {
+        let lo = start_ps.max(edges[b]);
+        let hi = end.min(edges[b + 1]);
+        if hi > lo {
+            *bucket = bucket.saturating_add(hi - lo);
+        }
+    }
+}
+
+/// Each bucket's busy time in permille of its width.
+fn timeline_permille(buckets: &[u64; TIMELINE_BUCKETS], edges: &[u64]) -> Vec<u64> {
+    buckets
+        .iter()
+        .zip(edges.windows(2))
+        .map(|(&busy, edge)| permille(busy, edge[1] - edge[0]))
+        .collect()
+}
+
+/// `part` in permille of `whole`, or 0 when `whole` is 0.
+fn permille(part: u64, whole: u64) -> u64 {
+    (u128::from(part) * 1000)
+        .checked_div(u128::from(whole))
+        .map_or(0, |v| u64::try_from(v).unwrap_or(u64::MAX))
+}
+
 /// The smallest bucket upper edge whose cumulative count reaches the
 /// `q`-permille rank (500 = median, 990 = p99, 999 = p99.9). Permille
 /// granularity is what the p999 column needs; overflow-bucket hits
@@ -1603,10 +1615,10 @@ fn percentile(h: &HistData, q_permille: u64) -> u64 {
     if h.count == 0 || h.edges.is_empty() {
         return 0;
     }
-    let target = (h.count * q_permille).div_ceil(1000);
-    let mut cum = 0u64;
+    let target = (u128::from(h.count) * u128::from(q_permille)).div_ceil(1000);
+    let mut cum = 0u128;
     for (i, &b) in h.buckets.iter().enumerate() {
-        cum += b;
+        cum += u128::from(b);
         if cum >= target {
             return h
                 .edges

@@ -81,17 +81,16 @@ impl Shared {
     /// (subsequent events are silently discarded — the stream is already
     /// broken and the error surfaces at `finish`).
     fn drain(&mut self) -> usize {
-        let Some(sink) = self.sink.as_mut() else {
+        if self.sink.is_none() {
             return 0;
-        };
-        let mut batch: Vec<TraceEvent> = self.rings.iter().flatten().copied().collect();
-        batch.sort_unstable_by_key(|te| te.seq);
+        }
+        let batch = self.merged();
         for ring in &mut self.rings {
             ring.clear();
         }
         self.buffered = 0;
         self.drained += batch.len() as u64;
-        if self.sink_error.is_none() {
+        if let (None, Some(sink)) = (&self.sink_error, self.sink.as_mut()) {
             for te in &batch {
                 if let Err(e) = sink.write_event(te) {
                     self.sink_error = Some(e);
@@ -100,6 +99,45 @@ impl Shared {
             }
         }
         batch.len()
+    }
+
+    /// Every buffered event, merged across the per-track rings in `seq`
+    /// order. Each ring is already in `seq` order, so this is a linear
+    /// k-way merge: the ring with the smallest head yields its whole run
+    /// of events below the next-smallest head.
+    fn merged(&self) -> Vec<TraceEvent> {
+        let mut out = Vec::with_capacity(self.buffered);
+        let mut rings: [_; NUM_TRACKS] = std::array::from_fn(|t| self.rings[t].iter().peekable());
+        // Each ring's next `seq`; `u64::MAX` once it is exhausted.
+        let mut heads: [u64; NUM_TRACKS] =
+            std::array::from_fn(|t| rings[t].peek().map_or(u64::MAX, |te| te.seq));
+        loop {
+            let (mut best, mut bound) = (0, u64::MAX);
+            for track in 1..NUM_TRACKS {
+                if heads[track] < heads[best] {
+                    (best, bound) = (track, heads[best]);
+                } else if heads[track] < bound {
+                    bound = heads[track];
+                }
+            }
+            if heads[best] == u64::MAX {
+                break;
+            }
+            let ring = &mut rings[best];
+            heads[best] = u64::MAX;
+            while let Some(te) = ring.next() {
+                out.push(*te);
+                match ring.peek() {
+                    Some(next) if next.seq < bound => {}
+                    Some(next) => {
+                        heads[best] = next.seq;
+                        break;
+                    }
+                    None => break,
+                }
+            }
+        }
+        out
     }
 }
 
@@ -186,10 +224,7 @@ impl Tracer {
     /// sequence order — oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        let s = self.shared.lock().expect("tracer poisoned");
-        let mut out: Vec<TraceEvent> = s.rings.iter().flatten().copied().collect();
-        out.sort_unstable_by_key(|te| te.seq);
-        out
+        self.shared.lock().expect("tracer poisoned").merged()
     }
 
     /// Events evicted unwritten so far (ring-only mode; streaming
@@ -441,5 +476,169 @@ mod tests {
         t.push(99, Event::FallbackRaw);
         assert_eq!(t.events()[0].seq, t.dropped() + t.drained());
         assert_eq!(t.recorded(), 12);
+    }
+
+    /// Tracer-independent model of ring-only recording: each track keeps
+    /// its newest `cap` events.
+    struct Model {
+        cap: usize,
+        rings: Vec<Vec<TraceEvent>>,
+        seq: u64,
+        dropped: u64,
+    }
+
+    impl Model {
+        fn new(cap: usize) -> Self {
+            Model {
+                cap,
+                rings: vec![Vec::new(); NUM_TRACKS],
+                seq: 0,
+                dropped: 0,
+            }
+        }
+
+        fn push(&mut self, now_ps: u64, event: Event) {
+            let ring = &mut self.rings[event.track_index()];
+            if ring.len() == self.cap {
+                ring.remove(0);
+                self.dropped += 1;
+            }
+            ring.push(TraceEvent {
+                now_ps,
+                seq: self.seq,
+                event,
+            });
+            self.seq += 1;
+        }
+
+        /// The sort oracle: every retained event, sorted by `seq`.
+        fn events(&self) -> Vec<TraceEvent> {
+            let mut out: Vec<TraceEvent> = self.rings.iter().flatten().copied().collect();
+            out.sort_unstable_by_key(|te| te.seq);
+            out
+        }
+    }
+
+    fn event_of(kind: usize, value: u64) -> Event {
+        crate::event::tests::every_variant(value)[kind]
+    }
+
+    /// The sort oracle over the tracer's own rings.
+    fn sorted_rings(t: &Tracer) -> Vec<TraceEvent> {
+        let s = t.shared.lock().unwrap();
+        let mut out: Vec<TraceEvent> = s.rings.iter().flatten().copied().collect();
+        out.sort_unstable_by_key(|te| te.seq);
+        out
+    }
+
+    /// A sink that records the events it is handed.
+    struct Recorder(std::sync::Arc<Mutex<Vec<TraceEvent>>>);
+
+    impl EventSink for Recorder {
+        fn write_event(&mut self, te: &TraceEvent) -> io::Result<()> {
+            self.0.lock().unwrap().push(*te);
+            Ok(())
+        }
+
+        fn finish(&mut self, _: &Snapshot, _: u64, _: u64) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prop_merged_events_match_the_sort_oracle(
+            ops in proptest::collection::vec((0usize..18, any::<u64>()), 0..300),
+            cap in 1usize..12,
+        ) {
+            // Random pushes across every track, with eviction whenever a
+            // track outgrows its ring.
+            let t = Tracer::new(TracerConfig::with_capacity(cap));
+            let mut model = Model::new(cap);
+            for (i, &(kind, value)) in ops.iter().enumerate() {
+                t.push(value, event_of(kind, value));
+                model.push(value, event_of(kind, value));
+                if i % 37 == 0 {
+                    prop_assert_eq!(t.events(), model.events());
+                }
+            }
+            prop_assert_eq!(t.events(), model.events());
+            prop_assert_eq!(t.events(), sorted_rings(&t));
+            prop_assert_eq!(t.dropped(), model.dropped);
+            prop_assert_eq!(t.len(), model.events().len());
+        }
+
+        #[test]
+        fn prop_streaming_drains_every_event_in_seq_order(
+            ops in proptest::collection::vec((0usize..19, any::<u64>()), 0..300),
+            cap in 1usize..12,
+            threshold in 1usize..40,
+        ) {
+            // Drains fire on full rings, on the threshold and on demand
+            // (kind 18); the sink must see every push exactly once, in
+            // push order.
+            let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let cfg = TracerConfig {
+                capacity: cap,
+                drain_threshold: Some(threshold),
+                ..TracerConfig::default()
+            };
+            let t = Tracer::with_sink(cfg, Box::new(Recorder(seen.clone())));
+            let mut pushed = Vec::new();
+            for &(kind, value) in &ops {
+                if kind == 18 {
+                    t.drain();
+                    continue;
+                }
+                let event = event_of(kind, value);
+                t.push(value, event);
+                pushed.push(TraceEvent {
+                    now_ps: value,
+                    seq: pushed.len() as u64,
+                    event,
+                });
+                prop_assert_eq!(t.events(), sorted_rings(&t));
+            }
+            t.finish(&Snapshot::default()).unwrap();
+            prop_assert_eq!(&*seen.lock().unwrap(), &pushed);
+            prop_assert_eq!(t.dropped(), 0);
+        }
+
+        #[test]
+        fn prop_absorbed_shards_match_the_sort_oracle(
+            ops in proptest::collection::vec((0usize..3, 0u64..50, 0usize..18), 0..200),
+            cap in 1usize..12,
+        ) {
+            // Shard forks evict on their own rings, then merge into the
+            // parent (which may evict again) in (now_ps, shard, seq) order.
+            let parent = crate::Telemetry::with_config(TracerConfig::with_capacity(cap));
+            let shards: Vec<_> = (0..3).map(|_| parent.fork_shard()).collect();
+            let mut models: Vec<Model> = (0..3).map(|_| Model::new(cap)).collect();
+            for &(shard, now_ps, kind) in &ops {
+                shards[shard].record_at(now_ps, event_of(kind, now_ps));
+                models[shard].push(now_ps, event_of(kind, now_ps));
+            }
+            for (shard, model) in shards.iter().zip(&models) {
+                prop_assert_eq!(shard.events(), model.events());
+            }
+            let mut merged: Vec<(u64, usize, u64, Event)> = models
+                .iter()
+                .enumerate()
+                .flat_map(|(i, m)| m.events().into_iter().map(move |te| (te.now_ps, i, te.seq, te.event)))
+                .collect();
+            merged.sort_by_key(|&(now_ps, shard, seq, _)| (now_ps, shard, seq));
+            let mut expected = Model::new(cap);
+            for &(now_ps, _, _, event) in &merged {
+                expected.push(now_ps, event);
+            }
+            prop_assert_eq!(parent.absorb_shards(&shards), merged.len());
+            prop_assert_eq!(parent.events(), expected.events());
+            let shard_drops: u64 = models.iter().map(|m| m.dropped).sum();
+            prop_assert_eq!(parent.dropped_events(), shard_drops + expected.dropped);
+        }
     }
 }
