@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels: each compression
-//! engine, the signature/search pipeline, the end-to-end link request, and
-//! the telemetry report flow.
+//! engine, the signature/search pipeline, the end-to-end link request, the
+//! set-associative cache and mesh link construction, and the telemetry
+//! report flow.
 //!
 //! These measure the *host* cost of the model (lines/second of simulation),
 //! not the modelled hardware latency — Table IV cycle counts cover that.
@@ -194,6 +195,69 @@ fn bench_search(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_set_assoc(c: &mut Criterion) {
+    use cable_cache::{CacheGeometry, CoherenceState, SetAssocCache};
+    use cable_sim::{CompressedLink, Scheme, SystemConfig};
+
+    // Warmed caches at the memory link's 4 MiB 16-way L4 and at the 16 KiB
+    // 8-way home slice of the 10k-endpoint mesh. Addresses span four times
+    // the capacity, so about a quarter of the lookups hit. One iteration is
+    // a burst of 256 operations: a single tag scan is shorter than the
+    // timer read around it.
+    const ADDRS: usize = 4096;
+    const BURST: usize = 256;
+    let mut group = c.benchmark_group("set_assoc");
+    for (label, geometry) in [
+        ("l4_4m_16way", CacheGeometry::new(4 << 20, 16)),
+        ("mesh_16k_8way", CacheGeometry::new(16 << 10, 8)),
+    ] {
+        let span = geometry.lines() * 4;
+        let mut rng = SplitMix64::new(5);
+        let mut cache = SetAssocCache::new(geometry);
+        for _ in 0..geometry.lines() * 2 {
+            let addr = Address::from_line_number(rng.next_bounded(span));
+            cache.insert(addr, LineData::zeroed(), CoherenceState::Shared);
+        }
+        let addrs: Vec<Address> = (0..ADDRS)
+            .map(|_| Address::from_line_number(rng.next_bounded(span)))
+            .collect();
+        let mut at = 0;
+        let mut burst = || {
+            at = (at + BURST) % ADDRS;
+            &addrs[at..at + BURST]
+        };
+        group.bench_function(&format!("lookup_{BURST}_{label}"), |b| {
+            b.iter(|| burst().iter().filter_map(|&a| cache.lookup(a)).count())
+        });
+        group.bench_function(&format!("access_{BURST}_{label}"), |b| {
+            b.iter(|| burst().iter().filter_map(|&a| cache.access(a)).count())
+        });
+        group.bench_function(&format!("insert_{BURST}_{label}"), |b| {
+            b.iter(|| {
+                burst()
+                    .iter()
+                    .filter_map(|&a| {
+                        cache
+                            .insert(a, LineData::zeroed(), CoherenceState::Shared)
+                            .evicted
+                    })
+                    .count()
+            })
+        });
+    }
+    // One pipeline of the mesh: what `FabricSim::with_config` builds
+    // 5,041 times for 71 chips.
+    let (home, remote) = (
+        CacheGeometry::new(16 << 10, 8),
+        CacheGeometry::new(8 << 10, 4),
+    );
+    let width = SystemConfig::paper_defaults().link_width_bits;
+    group.bench_function("build_mesh_link", |b| {
+        b.iter(|| CompressedLink::build(Scheme::Cable(EngineKind::Lbe), home, remote, width))
+    });
+    group.finish();
+}
+
 fn bench_workload_gen(c: &mut Criterion) {
     // Building the 71 chip generators of the full-size mesh: one walk of
     // the instance family against replaying every phase lag from scratch.
@@ -257,6 +321,7 @@ criterion_group!(
     bench_payload_codec,
     bench_link,
     bench_search,
+    bench_set_assoc,
     bench_workload_gen,
     bench_report_flow
 );

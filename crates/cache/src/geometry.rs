@@ -23,6 +23,9 @@ use std::fmt;
 pub struct CacheGeometry {
     size_bytes: u64,
     ways: u32,
+    /// log2 of the set count (a function of the other two fields): set
+    /// indexing is a mask and a shift, never a division.
+    set_bits: u32,
 }
 
 impl CacheGeometry {
@@ -40,13 +43,16 @@ impl CacheGeometry {
             size_bytes > 0 && size_bytes.is_multiple_of(u64::from(ways) * LINE_BYTES as u64),
             "capacity {size_bytes} is not a multiple of ways * line size"
         );
-        let geometry = CacheGeometry { size_bytes, ways };
+        let sets = size_bytes / (u64::from(ways) * LINE_BYTES as u64);
         assert!(
-            geometry.sets().is_power_of_two(),
-            "set count {} must be a power of two",
-            geometry.sets()
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
         );
-        geometry
+        CacheGeometry {
+            size_bytes,
+            ways,
+            set_bits: sets.trailing_zeros(),
+        }
     }
 
     /// Total capacity in bytes.
@@ -64,7 +70,7 @@ impl CacheGeometry {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> u64 {
-        self.size_bytes / (u64::from(self.ways) * LINE_BYTES as u64)
+        1 << self.set_bits
     }
 
     /// Total number of cache lines.
@@ -94,13 +100,21 @@ impl CacheGeometry {
     /// Set index for an address.
     #[must_use]
     pub fn index_of(&self, addr: Address) -> u64 {
-        addr.line_number() % self.sets()
+        addr.line_number() & (self.sets() - 1)
     }
 
-    /// Tag (the line-number bits above the index) for an address.
+    /// Tag (the line-number bits above the index) for an address. Line
+    /// numbers are below 2^58, so tags are too.
     #[must_use]
     pub fn tag_of(&self, addr: Address) -> u64 {
-        addr.line_number() / self.sets()
+        addr.line_number() >> self.set_bits
+    }
+
+    /// The line number of the line with `tag` in set `index`: the inverse
+    /// of [`CacheGeometry::tag_of`] and [`CacheGeometry::index_of`].
+    #[must_use]
+    pub(crate) fn line_number_of(&self, tag: u64, index: u64) -> u64 {
+        tag << self.set_bits | index
     }
 }
 

@@ -28,6 +28,16 @@ impl CoherenceState {
     pub fn is_reference_safe(self) -> bool {
         self == CoherenceState::Shared
     }
+
+    /// Inverse of `self as u64` on the two state bits of a slot word.
+    fn from_code(code: u64) -> Self {
+        match code & 3 {
+            0 => CoherenceState::Invalid,
+            1 => CoherenceState::Shared,
+            2 => CoherenceState::Exclusive,
+            _ => CoherenceState::Modified,
+        }
+    }
 }
 
 /// A line evicted (or invalidated) from a cache, with everything the CABLE
@@ -54,12 +64,56 @@ pub struct InsertOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
-#[derive(Clone, Debug, Default)]
+/// Where a slot's coherence state sits in its tag word.
+const STATE_SHIFT: u32 = 62;
+const TAG_MASK: u64 = (1 << STATE_SHIFT) - 1;
+
+/// One cache line's slot. The 2-bit coherence state rides in the top bits
+/// of the tag word: tags are line numbers shifted right by the set bits,
+/// and line numbers are below 2^58, so those bits are always free. An
+/// `Invalid` slot's word has a zero state field.
+#[derive(Clone, Default)]
 struct Slot {
-    tag: u64,
-    state: CoherenceState,
-    data: LineData,
+    /// `state << STATE_SHIFT | tag`.
+    tag_state: u64,
     last_use: u64,
+    data: LineData,
+}
+
+// Every link owns two arrays of these, so the packing is pinned: a stray
+// field would grow each slot by a whole 8-byte alignment unit.
+const _: () = assert!(std::mem::size_of::<Slot>() == 80);
+
+impl Slot {
+    fn new(tag: u64, state: CoherenceState, data: LineData, last_use: u64) -> Self {
+        debug_assert!(tag <= TAG_MASK, "tag {tag:#x} collides with the state bits");
+        Slot {
+            tag_state: (state as u64) << STATE_SHIFT | tag,
+            last_use,
+            data,
+        }
+    }
+
+    fn tag(&self) -> u64 {
+        self.tag_state & TAG_MASK
+    }
+
+    fn state(&self) -> CoherenceState {
+        CoherenceState::from_code(self.tag_state >> STATE_SHIFT)
+    }
+
+    fn set_state(&mut self, state: CoherenceState) {
+        self.tag_state = (state as u64) << STATE_SHIFT | self.tag();
+    }
+
+    fn is_valid(&self) -> bool {
+        self.tag_state >> STATE_SHIFT != 0
+    }
+
+    /// Valid and holding `tag`.
+    fn holds(&self, tag: u64) -> bool {
+        self.is_valid() && self.tag() == tag
+    }
 }
 
 /// An LRU set-associative cache of 64-byte lines.
@@ -124,7 +178,7 @@ impl SetAssocCache {
         let index = self.geometry.index_of(addr) as u32;
         let mut touched = 0u64;
         for way in 0..self.geometry.ways() as u8 {
-            touched ^= self.slots[self.slot_pos(index, way)].tag;
+            touched ^= self.slots[self.slot_pos(index, way)].tag_state;
         }
         std::hint::black_box(touched);
     }
@@ -144,8 +198,8 @@ impl SetAssocCache {
         let index = self.geometry.index_of(addr) as u32;
         let tag = self.geometry.tag_of(addr);
         (0..self.geometry.ways() as u8).find_map(|way| {
-            let slot = &self.slots[self.slot_pos(index, way)];
-            (slot.state != CoherenceState::Invalid && slot.tag == tag)
+            self.slots[self.slot_pos(index, way)]
+                .holds(tag)
                 .then(|| LineId::new(index, way))
         })
     }
@@ -177,7 +231,7 @@ impl SetAssocCache {
         let mut best_use = u64::MAX;
         for way in 0..self.geometry.ways() as u8 {
             let slot = &self.slots[self.slot_pos(index, way)];
-            if slot.state == CoherenceState::Invalid {
+            if !slot.is_valid() {
                 return way;
             }
             if slot.last_use < best_use {
@@ -223,7 +277,7 @@ impl SetAssocCache {
             let clock = self.clock;
             let slot = self.slot_mut(lid);
             slot.data = data;
-            slot.state = state;
+            slot.set_state(state);
             slot.last_use = clock;
             return InsertOutcome {
                 line_id: lid,
@@ -243,21 +297,9 @@ impl SetAssocCache {
             None => self.victim_way(addr),
         };
         let lid = LineId::new(index, way);
-        let sets = self.geometry.sets();
+        let evicted = self.evicted(lid);
         let clock = self.clock;
-        let slot = self.slot_mut(lid);
-        let evicted = (slot.state != CoherenceState::Invalid).then(|| EvictedLine {
-            addr: Address::from_line_number(slot.tag * sets + u64::from(index)),
-            data: slot.data,
-            state: slot.state,
-            line_id: lid,
-        });
-        *slot = Slot {
-            tag,
-            state,
-            data,
-            last_use: clock,
-        };
+        *self.slot_mut(lid) = Slot::new(tag, state, data, clock);
         InsertOutcome {
             line_id: lid,
             evicted,
@@ -271,37 +313,44 @@ impl SetAssocCache {
     #[must_use]
     pub fn read_by_id(&self, lid: LineId) -> Option<LineData> {
         let slot = self.slot(lid);
-        (slot.state != CoherenceState::Invalid).then_some(slot.data)
+        slot.is_valid().then_some(slot.data)
     }
 
     /// Returns the coherence state of a slot.
     #[must_use]
     pub fn state_by_id(&self, lid: LineId) -> CoherenceState {
-        self.slot(lid).state
+        self.slot(lid).state()
     }
 
     /// Reconstructs the line-aligned address stored in a slot, if valid.
     #[must_use]
     pub fn addr_by_id(&self, lid: LineId) -> Option<Address> {
         let slot = self.slot(lid);
-        (slot.state != CoherenceState::Invalid).then(|| {
-            Address::from_line_number(slot.tag * self.geometry.sets() + u64::from(lid.index()))
+        slot.is_valid().then(|| self.slot_addr(slot, lid.index()))
+    }
+
+    /// The line-aligned address a slot of set `index` holds.
+    fn slot_addr(&self, slot: &Slot, index: u32) -> Address {
+        Address::from_line_number(self.geometry.line_number_of(slot.tag(), u64::from(index)))
+    }
+
+    /// The valid line in slot `lid`, as it would leave the cache.
+    fn evicted(&self, lid: LineId) -> Option<EvictedLine> {
+        let slot = self.slot(lid);
+        slot.is_valid().then(|| EvictedLine {
+            addr: self.slot_addr(slot, lid.index()),
+            data: slot.data,
+            state: slot.state(),
+            line_id: lid,
         })
     }
 
     /// Invalidates `addr` if present, returning the removed line.
     pub fn invalidate(&mut self, addr: Address) -> Option<EvictedLine> {
         let lid = self.lookup(addr)?;
-        let sets = self.geometry.sets();
-        let slot = self.slot_mut(lid);
-        let evicted = EvictedLine {
-            addr: Address::from_line_number(slot.tag * sets + u64::from(lid.index())),
-            data: slot.data,
-            state: slot.state,
-            line_id: lid,
-        };
-        *slot = Slot::default();
-        Some(evicted)
+        let evicted = self.evicted(lid);
+        *self.slot_mut(lid) = Slot::default();
+        evicted
     }
 
     /// Updates the coherence state of a present line (e.g. a Shared →
@@ -311,8 +360,8 @@ impl SetAssocCache {
     pub fn set_state(&mut self, addr: Address, state: CoherenceState) -> Option<CoherenceState> {
         let lid = self.lookup(addr)?;
         let slot = self.slot_mut(lid);
-        let old = slot.state;
-        slot.state = state;
+        let old = slot.state();
+        slot.set_state(state);
         Some(old)
     }
 
@@ -326,7 +375,7 @@ impl SetAssocCache {
                 let clock = self.clock;
                 let slot = self.slot_mut(lid);
                 slot.data = data;
-                slot.state = CoherenceState::Modified;
+                slot.set_state(CoherenceState::Modified);
                 slot.last_use = clock;
                 true
             }
@@ -337,27 +386,22 @@ impl SetAssocCache {
     /// Iterates over all valid lines as `(LineId, Address, state)`.
     pub fn iter_valid(&self) -> impl Iterator<Item = (LineId, Address, CoherenceState)> + '_ {
         let ways = self.geometry.ways() as usize;
-        let sets = self.geometry.sets();
         self.slots
             .iter()
             .enumerate()
             .filter_map(move |(pos, slot)| {
-                if slot.state == CoherenceState::Invalid {
+                if !slot.is_valid() {
                     return None;
                 }
                 let lid = LineId::new((pos / ways) as u32, (pos % ways) as u8);
-                let addr = Address::from_line_number(slot.tag * sets + u64::from(lid.index()));
-                Some((lid, addr, slot.state))
+                Some((lid, self.slot_addr(slot, lid.index()), slot.state()))
             })
     }
 
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state != CoherenceState::Invalid)
-            .count()
+        self.slots.iter().filter(|s| s.is_valid()).count()
     }
 
     /// `(hits, misses)` recorded by [`SetAssocCache::access`].

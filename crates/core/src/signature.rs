@@ -158,7 +158,8 @@ pub fn nontrivial_mask(line: &LineData) -> u16 {
 /// The signature extractor: an H3 function plus the sampling policy.
 ///
 /// Both ends of a link construct extractors from the same seed so their
-/// hash tables agree on what a line's signatures are.
+/// hash tables agree on what a line's signatures are. Extractors with equal
+/// seeds, and their clones, share one H3 table set (see [`crate::h3`]).
 #[derive(Clone, Debug)]
 pub struct SignatureExtractor {
     h3: H3,
@@ -320,6 +321,20 @@ mod tests {
 
     fn extractor() -> SignatureExtractor {
         SignatureExtractor::new(0xcab1e)
+    }
+
+    #[test]
+    fn extractors_with_one_seed_share_one_table_set() {
+        let a = extractor();
+        let b = extractor();
+        assert!(a.h3.shares_tables(&b.h3));
+        assert!(a.h3.shares_tables(&a.clone().h3));
+        assert!(!a.h3.shares_tables(&SignatureExtractor::new(0xcab1f).h3));
+        let line = LineData::from_words(core::array::from_fn(|i| 0x0400_0000 + 17 * i as u32));
+        assert_eq!(a.search_signatures(&line), b.search_signatures(&line));
+        for w in line.to_words() {
+            assert_eq!(u64::from(b.sign(w).0), a.h3.hash_reference(w));
+        }
     }
 
     #[test]

@@ -50,7 +50,9 @@ impl EncodeMix {
     /// Transfers that crossed the wire (everything but remote hits).
     #[must_use]
     pub fn encodes(&self) -> u64 {
-        self.raw + self.unseeded + self.diff
+        self.raw
+            .saturating_add(self.unseeded)
+            .saturating_add(self.diff)
     }
 }
 
@@ -107,7 +109,9 @@ impl PhaseReport {
     #[must_use]
     pub fn nacks_per_1k_encodes(&self) -> u64 {
         let encodes = self.encodes.encodes();
-        (self.nacks * 1000 + encodes / 2)
+        self.nacks
+            .saturating_mul(1000)
+            .saturating_add(encodes / 2)
             .checked_div(encodes)
             .unwrap_or(0)
     }
@@ -566,7 +570,7 @@ impl Report {
         let mut faultiest: Vec<&HopReport> = self
             .hops
             .iter()
-            .filter(|h| h.faults + h.nacks + h.retransmitted_bits > 0)
+            .filter(|h| (h.faults | h.nacks | h.retransmitted_bits) != 0)
             .collect();
         faultiest.sort_by_key(|h| (Reverse(h.faults), Reverse(h.nacks), h.hop));
         let line = if faultiest.is_empty() {
@@ -924,20 +928,27 @@ pub fn diff_reports(a: &Report, b: &Report, threshold_permille: u64) -> ReportDi
         (false, true) => RowPresence::OnlyB,
         _ => RowPresence::Both,
     };
+    // Saturating sums: an artifact may carry values near u64::MAX, and a
+    // wrapped total would read as a drift that is not there.
     let totals = |r: &Report| {
         let mut t = [0u64; 11];
         for p in &r.phases {
-            t[0] += p.encodes.raw;
-            t[1] += p.encodes.unseeded;
-            t[2] += p.encodes.diff;
-            t[3] += p.encodes.remote_hit;
-            t[4] += p.nacks;
-            t[5] += p.retransmits;
-            t[6] += p.fallback_raw;
-            t[7] += p.escalations;
-            t[8] += p.link.busy_ps;
-            t[9] += p.dram.busy_ps;
-            t[10] += p.mesh.busy_ps;
+            let fields = [
+                p.encodes.raw,
+                p.encodes.unseeded,
+                p.encodes.diff,
+                p.encodes.remote_hit,
+                p.nacks,
+                p.retransmits,
+                p.fallback_raw,
+                p.escalations,
+                p.link.busy_ps,
+                p.dram.busy_ps,
+                p.mesh.busy_ps,
+            ];
+            for (sum, v) in t.iter_mut().zip(fields) {
+                *sum = sum.saturating_add(v);
+            }
         }
         t
     };

@@ -1,8 +1,10 @@
-//! Hostile-input fuzzing of the trace reader: whatever bytes a JSONL
+//! Hostile-input fuzzing of the report readers: whatever bytes a JSONL
 //! file holds, `Report::from_jsonl` returns a report or an error, and
-//! never panics.
+//! never panics; and whatever numbers a `cable_report` artifact carries,
+//! `Report::from_report_json` → `diff_reports` → `breaches` /
+//! `render_text` never panics.
 
-use cable_telemetry::{Event, Report, Telemetry};
+use cable_telemetry::{diff_reports, Event, Report, Telemetry};
 use proptest::prelude::*;
 
 /// Schema fragments that, strung together, form near-valid trace lines:
@@ -193,8 +195,130 @@ fn read_all_the_way(text: &str) -> bool {
     true
 }
 
+/// Extreme values for the integer fields of a `cable_report` artifact.
+const EXTREMES: [u64; 9] = [
+    0,
+    1,
+    999,
+    1 << 32,
+    (1 << 63) - 1,
+    1 << 63,
+    u64::MAX / 1000 + 1,
+    u64::MAX - 1,
+    u64::MAX,
+];
+
+/// Histogram ids a report carries: plain and hop-keyed latency metrics
+/// (which `render_latency` groups) and a non-latency one.
+const HIST_IDS: [&str; 4] = [
+    "lat.cable.measure.total",
+    "lat.cable.measure.queue",
+    "lat.cable.measure.h3.wire",
+    "link.payload_bits",
+];
+
+/// Shape of one generated artifact: value picks (indices into
+/// `EXTREMES`, consumed cyclically) and how many phases, hops,
+/// histograms and counter/gauge pairs it holds.
+type ReportPicks = (Vec<usize>, usize, usize, usize, usize);
+
+/// A well-formed `cable_report` artifact whose every integer field is an
+/// extreme value, so all of it reaches the diff and the renderers.
+fn hostile_report((picks, phases, hops, hists, metrics): &ReportPicks) -> String {
+    let mut values = picks.iter().cycle().map(|&i| EXTREMES[i % EXTREMES.len()]);
+    let mut v = move || values.next().unwrap_or(u64::MAX);
+    let mut out = format!(
+        "{{\"type\":\"cable_report\",\"version\":1,\"span_start_ps\":{},\"span_end_ps\":{},\"events\":{},\"dropped_events\":{},\"malformed_lines\":{},\"phases\":[",
+        v(), v(), v(), v(), v()
+    );
+    for i in 0..*phases {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"name\":\"p{i}\",\"start_ps\":{},\"end_ps\":{},\"encodes\":{{\"raw\":{},\"unseeded\":{},\"diff\":{},\"remote_hit\":{}}},\"nacks\":{},\"retransmits\":{},\"fallback_raw\":{},\"escalations\":{}",
+            v(), v(), v(), v(), v(), v(), v(), v(), v(), v()
+        ));
+        for lane in ["link", "dram", "mesh"] {
+            out.push_str(&format!(
+                ",\"{lane}_busy_ps\":{},\"{lane}_util_permille\":[{},{}]",
+                v(),
+                v(),
+                v()
+            ));
+        }
+        out.push('}');
+    }
+    out.push_str("],\"hops\":[");
+    for i in 0..*hops {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"hop\":{},\"busy_ps\":{},\"busy_permille\":{},\"transfers\":{},\"bits\":{},\"depth_p50\":{},\"depth_p99\":{},\"nacks\":{},\"faults\":{},\"retransmitted_bits\":{},\"util_permille\":[{}]}}",
+            v(), v(), v(), v(), v(), v(), v(), v(), v(), v(), v()
+        ));
+    }
+    out.push_str("],\"histograms\":[");
+    for i in 0..*hists {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"id\":\"{}\",\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
+            HIST_IDS[i % HIST_IDS.len()],
+            v(), v(), v(), v(), v(), v()
+        ));
+    }
+    out.push(']');
+    for (key, prefix) in [("counters", "c"), ("gauges", "g")] {
+        out.push_str(&format!(",\"{key}\":{{"));
+        for i in 0..*metrics {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{prefix}{i}\":{}", v()));
+        }
+        out.push('}');
+    }
+    out.push('}');
+    out
+}
+
+fn report_picks() -> impl Strategy<Value = ReportPicks> {
+    (
+        proptest::collection::vec(0usize..EXTREMES.len(), 1..48),
+        (0usize..4, 0usize..4),
+        (0usize..5, 0usize..3),
+    )
+        .prop_map(|(values, (phases, hops), (hists, metrics))| {
+            (values, phases, hops, hists, metrics)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn extreme_report_artifacts_diff_and_render(
+        a in report_picks(),
+        b in report_picks(),
+        threshold in prop_oneof![Just(0u64), Just(50), Just(u64::MAX)],
+    ) {
+        let ra = Report::from_report_json(&hostile_report(&a)).expect("artifact a parses");
+        let rb = Report::from_report_json(&hostile_report(&b)).expect("artifact b parses");
+        for r in [&ra, &rb] {
+            let _ = r.render_text();
+            let _ = r.render_latency();
+            let _ = r.render_hops(3);
+            let _ = r.to_json();
+        }
+        let diff = diff_reports(&ra, &rb, threshold);
+        let _ = diff.breaches();
+        let _ = diff.render_text();
+        // A report never drifts from itself, however large its numbers.
+        prop_assert!(diff_reports(&ra, &ra, 0).breaches().is_empty());
+    }
 
     #[test]
     fn byte_soup_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -263,4 +387,20 @@ fn most_schema_shaped_traces_reach_aggregation() {
         reached += usize::from(read_all_the_way(&schema_lines(&lines)));
     }
     assert!(reached >= 50, "only {reached} of 200 traces parsed");
+}
+
+#[test]
+fn phase_totals_saturate_instead_of_wrapping() {
+    // Two phases each busy for u64::MAX ps: the summed total must read
+    // u64::MAX, not wrap to u64::MAX - 1 and print a false drift.
+    let picks: ReportPicks = (vec![EXTREMES.len() - 1], 2, 0, 0, 0);
+    let report = Report::from_report_json(&hostile_report(&picks)).expect("artifact parses");
+    let diff = diff_reports(&report, &report, 0);
+    let row = diff
+        .rows
+        .iter()
+        .find(|r| r.field == "link_busy_ps")
+        .expect("link_busy_ps row");
+    assert_eq!((row.a, row.b), (u64::MAX, u64::MAX));
+    assert!(diff.breaches().is_empty());
 }
