@@ -247,7 +247,7 @@ fn shard_mesh_config() -> SystemConfig {
 /// Measures the epoch-parallel fabric engine's sustained
 /// simulated-accesses/sec against worker count on the 10k-endpoint mesh
 /// (quick mode: ~1k endpoints). Every sharded run is digest-checked
-/// against a single-threaded `run` oracle before its rate is reported, so
+/// against the single-threaded `run_linear` oracle before its rate is reported, so
 /// the figure cannot ship numbers from a diverged run. `host_cores`
 /// records the machine the sweep ran on — on a single-core host the
 /// speedup column is honestly ~1.0. `construct_ms` is the median
@@ -279,7 +279,7 @@ pub fn run_shard_bench() -> FigureResult<'static> {
 
     let oracle = {
         let mut sim = build();
-        sim.run(instrs);
+        sim.run_linear(instrs);
         (sim.total_accesses(), sim.timing_fingerprint())
     };
 
@@ -584,7 +584,7 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
                 ptp,
                 &cfg,
             );
-            let r = sim.run(steady_instrs);
+            let r = sim.run_sharded(steady_instrs, 1);
             let snap = degrade_snap(&sim, r.elapsed_ps);
             let row = degrade_row(&snap, &DegradeSnap::default(), worst_level(&sim));
             assert!(
@@ -617,7 +617,7 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
             ptp,
             &cfg,
         );
-        let r = sim.run(steady_instrs);
+        let r = sim.run_sharded(steady_instrs, 1);
         let hops = sim.hop_stats();
         match hop {
             Some(h) => assert!(
@@ -665,7 +665,7 @@ pub fn run_degrade_bench() -> FigureResult<'static> {
         (snaps, levels, sim.timing_fingerprint())
     };
 
-    let (snaps, levels, fingerprint) = storyline(&mut |sim, n| sim.run(n));
+    let (snaps, levels, fingerprint) = storyline(&mut |sim, n| sim.run_linear(n));
     let (pre, burst, post) = (&snaps[0], &snaps[1], &snaps[2]);
     assert_eq!(pre.0.demotions, 0, "healthy pre-phase must not demote");
     assert!(
@@ -851,7 +851,7 @@ fn latency_fabric_table(scheme: Scheme, cfg: &SystemConfig, workers: Option<usiz
     sim.set_telemetry(tel.clone());
     match workers {
         Some(w) => sim.run_sharded(instrs, w),
-        None => sim.run(instrs),
+        None => sim.run_linear(instrs),
     };
     let rep = Report::from_telemetry(&tel);
     let mut table: LatTable = rep

@@ -29,9 +29,11 @@ commands:
   replay <file>                    evaluate compression schemes on a trace
   throughput <workload> [threads]  throughput speedups at a thread count
   fabric <workload> [nodes] [GB/s] multi-chip PTP-link throughput (§V-B);
-                                   --shards N runs the epoch-parallel
-                                   engine on N workers (bit-identical to
-                                   the single-threaded run); --fault-rate R
+                                   --shards N spreads the functional work
+                                   over N threads while the caller replays
+                                   timing (default 1; output, traces
+                                   included, is identical for every N);
+                                   --fault-rate R
                                    arms lossy links (per-bit flip rate R)
                                    and --degrade the closed-loop ladder
                                    (Compressed -> RawOnly -> LinkOff with
@@ -490,10 +492,7 @@ fn fabric(name: &str, nodes: usize, gbps: f64, opts: &FabricOpts) -> Result<(), 
     println!(
         "{name}: {nodes}-chip fabric, {gbps} GB/s per PTP link{engine}{loop_desc}{mesh_desc}\n"
     );
-    let run = |f: &mut cable_sim::FabricSim| match opts.shards {
-        Some(w) => f.run_sharded(20_000, w),
-        None => f.run(20_000),
-    };
+    let run = |f: &mut cable_sim::FabricSim| f.run_sharded(20_000, opts.shards.unwrap_or(1));
     let mut base =
         cable_sim::FabricSim::with_config(p, Scheme::Uncompressed, nodes, gbps * 1e9, &cfg);
     let rb = run(&mut base);

@@ -5,8 +5,10 @@
 //! uses: `criterion_group!`/`criterion_main!`, benchmark groups,
 //! throughput annotation, `Bencher::iter`, and `Bencher::iter_batched`.
 //!
-//! Measurement is deliberately simple — a warm-up, then timed batches until
-//! a wall-clock budget is spent — and results print as `ns/iter` plus
+//! Measurement is deliberately simple — a warm-up, then timed batches of
+//! doubling size until a wall-clock budget is spent, reading the clock
+//! once per batch so a kernel shorter than a clock read is not measured
+//! as the clock — and results print as `ns/iter` plus
 //! MB/s when a byte throughput is declared. Statistical machinery
 //! (outlier rejection, regression, HTML reports) is out of scope; the
 //! `perf_smoke` binary in `cable-bench` is the tracked perf signal.
@@ -129,14 +131,27 @@ impl Bencher {
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut f: F) {
         // Warm-up pass, untimed.
         std_black_box(f());
-        let start = Instant::now();
+        self.run_batches(|n| {
+            let start = Instant::now();
+            for _ in 0..n {
+                std_black_box(f());
+            }
+            start.elapsed()
+        });
+    }
+
+    /// Runs batches of 1, 2, 4, ... iterations through `batch` (which runs
+    /// that many and returns their elapsed time) until the budget is
+    /// spent, accounting every iteration and its time.
+    fn run_batches(&mut self, mut batch: impl FnMut(u64) -> Duration) {
+        let mut n = 1;
         loop {
-            std_black_box(f());
-            self.iters += 1;
-            self.elapsed = start.elapsed();
+            self.elapsed += batch(n);
+            self.iters += n;
             if self.elapsed >= self.budget {
                 break;
             }
+            n = n.saturating_mul(2);
         }
     }
 
@@ -201,5 +216,42 @@ mod tests {
         });
         group.finish();
         assert!(ran >= 1);
+    }
+
+    #[test]
+    fn batches_double_and_account_every_iteration() {
+        let mut b = Bencher {
+            budget: Duration::from_nanos(100),
+            iters: 0,
+            elapsed: Duration::ZERO,
+        };
+        let mut sizes = Vec::new();
+        // A fake kernel of exactly 10 ns per iteration.
+        b.run_batches(|n| {
+            sizes.push(n);
+            Duration::from_nanos(10 * n)
+        });
+        assert_eq!(sizes, [1, 2, 4, 8], "doubling until 150 ns >= 100 ns");
+        assert_eq!(b.iters, 15);
+        assert_eq!(b.elapsed, Duration::from_nanos(150));
+        assert_eq!(b.elapsed.as_nanos() / u128::from(b.iters), 10);
+    }
+
+    #[test]
+    fn iter_reads_the_clock_once_per_batch() {
+        let mut b = Bencher {
+            budget: Duration::from_millis(2),
+            iters: 0,
+            elapsed: Duration::ZERO,
+        };
+        let mut calls = 0u64;
+        b.iter(|| calls += 1);
+        assert_eq!(calls, b.iters + 1, "one untimed warm-up call");
+        assert!(
+            (b.iters + 1).is_power_of_two(),
+            "{} iterations are whole doubling batches",
+            b.iters
+        );
+        assert!(b.elapsed >= b.budget);
     }
 }

@@ -43,6 +43,7 @@ pub mod prelude {
 /// Declares property tests: each `fn name(pat in strategy, ...) { body }`
 /// becomes a `#[test]` that runs the body for `ProptestConfig::cases`
 /// random inputs (default 256, override with `#![proptest_config(..)]`).
+/// A `return` in the body ends that case, not the test.
 #[macro_export]
 macro_rules! proptest {
     (
@@ -81,7 +82,10 @@ macro_rules! proptest {
                     let ($($arg,)+) = ($(
                         $crate::strategy::Strategy::generate(&$strat, &mut proptest_shim_rng),
                     )+);
-                    $body
+                    // The body runs in its own closure so that a `return`
+                    // ends this case only, as it does in proptest.
+                    #[allow(clippy::redundant_closure_call)]
+                    (|| $body)();
                 }
             }
         )+
@@ -118,6 +122,35 @@ macro_rules! prop_oneof {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    static STARTED: AtomicU32 = AtomicU32::new(0);
+    static FINISHED: AtomicU32 = AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        fn returns_early_on_odd_inputs(x in 0u32..1000) {
+            STARTED.fetch_add(1, Ordering::SeqCst);
+            if x % 2 == 1 {
+                return;
+            }
+            FINISHED.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_return_ends_only_its_case() {
+        returns_early_on_odd_inputs();
+        let (started, finished) = (
+            STARTED.load(Ordering::SeqCst),
+            FINISHED.load(Ordering::SeqCst),
+        );
+        assert_eq!(started, 32, "every case runs after an early return");
+        assert!(
+            finished > 0 && finished < started,
+            "{finished} of {started} cases ran to the end"
+        );
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]

@@ -23,28 +23,30 @@
 //!   compression pipelines — each `(requester, home)` pipeline is driven
 //!   by exactly one requester) and records a [`StepTrace`] of the step's
 //!   timing-relevant facts;
-//! - [`FabricSim::apply_step_timing`] replays a trace against the *shared*
-//!   timing resources (PTP wires, local wires, DRAM channels) and the
-//!   chip's clock, in exactly the operation order of the original fused
-//!   step.
+//! - [`Timing::apply`] replays a trace against the *shared* timing
+//!   resources (PTP wires, local wires, DRAM channels) and the chip's
+//!   clock, in exactly the operation order of the original fused step.
 //!
-//! Crucially, no functional decision ever reads `now_ps`, so a chip's
-//! functional future is independent of every other chip: traces can be
-//! produced arbitrarily far ahead, in parallel, and replayed in global
-//! `(now_ps, chip)` order afterwards.
+//! Every clock lives in [`Timing`], which functional code never sees, so
+//! no functional decision can read the time: a chip's functional future
+//! is independent of every other chip, and traces can be produced
+//! arbitrarily far ahead, in parallel, and replayed in global
+//! `(now_ps, chip)` order afterwards. Functional telemetry goes through a
+//! per-chip staging handle ([`Telemetry::staging`]); the replay stamps
+//! each step's held-back events with the step's start time and records
+//! them ahead of its wire and DRAM events, exactly as a fused step would.
 
 use crate::adaptive::{DegradationStats, DegradeLevel, OnOffController};
 use crate::config::{CompressionLatency, SystemConfig};
 use crate::hier::fill_l2_l1;
 use crate::resources::{DramModel, SharedLink};
-use crate::sched::Scheduler;
 use crate::thread::{CompressedLink, Scheme};
 use cable_cache::{CacheGeometry, SetAssocCache};
 use cable_common::Address;
 use cable_core::{FaultConfig, FaultStats, LinkStats, TransferKind};
 use cable_telemetry::{
-    latency_hop_metric_id, Histogram, LatencyRecorder, LatencyStage, StageSpans, Telemetry,
-    LATENCY_EDGES,
+    latency_hop_metric_id, Histogram, LatencyRecorder, LatencyStage, StageSpans, StagedOps,
+    Telemetry, LATENCY_EDGES,
 };
 use cable_trace::{WorkloadGen, WorkloadProfile};
 use std::fmt;
@@ -137,8 +139,22 @@ pub struct HopStats {
     pub fault: Option<FaultStats>,
 }
 
+/// Sentinel for an absent chip index or bit count in a [`StepTrace`].
+const NONE: u32 = u32::MAX;
+
+/// A wire-bit delta as a trace field. A single step moves a few thousand
+/// bits at most, so the narrowing never fails on a sane run.
+fn trace_bits(bits: u64) -> u32 {
+    u32::try_from(bits)
+        .ok()
+        .filter(|&b| b != NONE)
+        .expect("one step's wire bits fit a trace field")
+}
+
 /// The timing-relevant record of one functional step, replayed against the
-/// shared resources by [`FabricSim::apply_step_timing`].
+/// shared resources by [`Timing::apply`]. Sentinels instead of `Option`s
+/// keep it to one cache line: the replay streams hundreds of thousands of
+/// them per run.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StepTrace {
     /// Compute-gap time preceding the access.
@@ -146,63 +162,113 @@ pub(crate) struct StepTrace {
     /// Fixed hit/miss latency the chip waits through (L1, +L2, +LLC for
     /// the levels actually traversed).
     wait_ps: u64,
-    /// Present when the access missed through to the home node and blocks
-    /// on L4/DRAM plus a wire transfer.
-    blocking: Option<BlockingTrace>,
-    /// Present when the fill displaced a dirty L2 victim whose write-back
-    /// consumed wire bandwidth (silent upgrades don't).
-    writeback: Option<WritebackTrace>,
-    /// Scheduled-resync wire charges incurred by this step's pipeline
-    /// operations (slot 0: the miss-path pipeline, slot 1: the victim
-    /// write-back pipeline — one step can touch at most two).
-    resyncs: [Option<ResyncTrace>; 2],
-}
-
-#[derive(Clone, Copy, Debug)]
-struct BlockingTrace {
-    home: usize,
+    /// The blocking miss's address (picks its DRAM bank).
     addr: Address,
-    home_hit: bool,
-    delta_bits: u64,
-    /// Bits of `delta_bits` that were fault-recovery retransmissions —
+    /// Home of the LLC-level pipeline operation (blocking miss, remote
+    /// hit); [`NONE`] when the private hierarchy served the access.
+    home: u32,
+    /// Home of the pipeline the dirty L2 victim went through; [`NONE`]
+    /// when the fill displaced nothing dirty.
+    victim_home: u32,
+    /// Wire bits of a blocking miss through `home` (L4/DRAM plus a wire
+    /// transfer); [`NONE`] when the access did not block on the home.
+    miss_bits: u32,
+    /// Bits of `miss_bits` that were fault-recovery retransmissions —
     /// the replay splits their serialization time into the retry span.
-    retry_bits: u64,
+    retry_bits: u32,
+    /// Wire bits of the victim's write-back through `victim_home`;
+    /// [`NONE`] when it needed no wire (silent upgrade, or no victim).
+    /// Zero is a real write-back: `SharedLink::transfer` observably raises
+    /// `busy_until` on an idle link.
+    wb_bits: u32,
+    /// Scheduled-resync wire charges of this step's pipeline operations
+    /// (slot 0: the `home` pipeline, slot 1: the `victim_home` pipeline);
+    /// 0 when no resync fired.
+    resync_bits: [u32; 2],
+    /// Telemetry operations the step staged, replayed at its start time.
+    staged: u32,
+    /// Whether a blocking miss hit in the home L4 (no DRAM access).
+    home_hit: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct WritebackTrace {
-    home: usize,
-    delta_bits: u64,
+impl StepTrace {
+    fn new(gap_ps: u64, wait_ps: u64) -> Self {
+        StepTrace {
+            gap_ps,
+            wait_ps,
+            addr: Address::default(),
+            home: NONE,
+            victim_home: NONE,
+            miss_bits: NONE,
+            retry_bits: 0,
+            wb_bits: NONE,
+            resync_bits: [0; 2],
+            staged: 0,
+            home_hit: false,
+        }
+    }
+
+    /// Records the victim half of a fill ([`ChipNode::fill_upper`]).
+    fn set_victim(&mut self, victim: VictimTrace) {
+        self.victim_home = victim.home;
+        self.wb_bits = victim.wb_bits;
+        self.resync_bits[1] = victim.resync_bits;
+    }
 }
 
-/// One scheduled `audit_and_resync` fired by the degradation controller:
-/// its repair traffic is replayed onto the `(chip, home)` wire so recovery
-/// has an honest bandwidth cost.
+/// What a fill's dirty L2 victim put through its home pipeline.
+#[derive(Clone, Copy)]
+struct VictimTrace {
+    home: u32,
+    /// As [`StepTrace::wb_bits`].
+    wb_bits: u32,
+    /// As [`StepTrace::resync_bits`].
+    resync_bits: u32,
+}
+
+impl VictimTrace {
+    const CLEAN: VictimTrace = VictimTrace {
+        home: NONE,
+        wb_bits: NONE,
+        resync_bits: 0,
+    };
+}
+
+/// The fixed latencies of a fabric, converted from cycles once per
+/// fabric instead of on every step.
 #[derive(Clone, Copy, Debug)]
-struct ResyncTrace {
-    home: usize,
-    cost_bits: u64,
+pub(crate) struct FixedLatencies {
+    l1_ps: u64,
+    l2_ps: u64,
+    llc_ps: u64,
+    l4_ps: u64,
+    codec_ps: u64,
+}
+
+impl FixedLatencies {
+    fn new(c: &SystemConfig, latency: CompressionLatency) -> Self {
+        FixedLatencies {
+            l1_ps: c.cycles_to_ps(c.l1_latency_cy),
+            l2_ps: c.cycles_to_ps(c.l2_latency_cy),
+            llc_ps: c.cycles_to_ps(c.llc_latency_cy),
+            l4_ps: c.cycles_to_ps(c.l4_latency_cy),
+            codec_ps: c.cycles_to_ps(latency.total_cycles()),
+        }
+    }
 }
 
 /// One chip: its workload, private hierarchy, and every compression
 /// pipeline it drives (the directional `(self, home)` pipelines plus the
 /// local memory path in the self slot). Owning the pipelines per chip is
 /// what lets the shard engine hand disjoint `&mut ChipNode`s to worker
-/// threads.
+/// threads. A chip has no clock: time is [`Timing`]'s alone.
 pub(crate) struct ChipNode {
     gen: WorkloadGen,
     l1: SetAssocCache,
     l2: SetAssocCache,
-    /// True timing clock, advanced only by [`FabricSim::apply_step_timing`].
-    now_ps: u64,
     retired: u64,
     /// Memory accesses simulated (one per step).
     accesses: u64,
-    /// Stamp clock for functional-phase telemetry: synced to `now_ps`
-    /// whenever timing is known (single-threaded mode after every step,
-    /// sharded mode at each epoch refill), advanced contention-free by the
-    /// functional phase in between.
-    fn_clock: u64,
     /// `links[home]`: the compression pipeline toward `home`;
     /// `links[self]` is the local memory path.
     links: Vec<CompressedLink>,
@@ -211,61 +277,54 @@ pub(crate) struct ChipNode {
     /// chip-private state, so ladder decisions and scheduled resyncs are
     /// part of the functional half and replay identically under sharding.
     controllers: Vec<OnOffController>,
+    /// The staging handle every pipeline and controller of this chip
+    /// records through (disabled unless the fabric's telemetry is on).
+    tel: Telemetry,
 }
 
 impl ChipNode {
     /// Runs the functional half of one step: generator, private L1/L2,
     /// compression pipeline(s). Touches no shared timing state; returns
-    /// the [`StepTrace`] for replay. `tel` stamps pipeline events at the
-    /// chip's contention-free stamp clock.
+    /// the [`StepTrace`] for replay, counting the telemetry operations the
+    /// step staged.
     pub(crate) fn step_functional(
         &mut self,
         nodes: usize,
         config: &SystemConfig,
-        latency: CompressionLatency,
-        tel: &Telemetry,
+        lat: &FixedLatencies,
     ) -> StepTrace {
-        let c = config;
+        let before = self.tel.staged();
+        let mut trace = self.step(nodes, config, lat);
+        trace.staged = (self.tel.staged() - before) as u32;
+        trace
+    }
+
+    fn step(&mut self, nodes: usize, config: &SystemConfig, lat: &FixedLatencies) -> StepTrace {
         let access = self.gen.next_access();
         self.retired += u64::from(access.compute_gap) + 1;
         self.accesses += 1;
-        let gap_ps = c.cycles_to_ps(u64::from(access.compute_gap));
-        self.fn_clock += gap_ps;
-        tel.set_now_ps(self.fn_clock);
+        // The gap is the one per-step conversion: it varies per access.
+        let gap_ps = config.cycles_to_ps(u64::from(access.compute_gap));
 
         // Private L1/L2.
-        let mut wait_ps = c.cycles_to_ps(c.l1_latency_cy);
         if self.l1.access(access.addr).is_some() {
             if access.is_write {
                 let data = self.gen.store_data(access.addr);
                 self.l1.write(access.addr, data);
             }
-            self.fn_clock += wait_ps;
-            return StepTrace {
-                gap_ps,
-                wait_ps,
-                blocking: None,
-                writeback: None,
-                resyncs: [None, None],
-            };
+            return StepTrace::new(gap_ps, lat.l1_ps);
         }
-        wait_ps += c.cycles_to_ps(c.l2_latency_cy);
         if self.l2.access(access.addr).is_some() {
-            let (writeback, fill_resync) = self.fill_upper(nodes, access.addr, access.is_write);
-            self.fn_clock += wait_ps;
-            return StepTrace {
-                gap_ps,
-                wait_ps,
-                blocking: None,
-                writeback,
-                resyncs: [None, fill_resync],
-            };
+            let mut trace = StepTrace::new(gap_ps, lat.l1_ps + lat.l2_ps);
+            trace.set_victim(self.fill_upper(nodes, access.addr, access.is_write));
+            return trace;
         }
 
         // LLC level: local or remote home.
         let home = (access.addr.page_number() % nodes as u64) as usize;
         let memory = self.gen.content(access.addr);
-        wait_ps += c.cycles_to_ps(c.llc_latency_cy);
+        let mut trace = StepTrace::new(gap_ps, lat.l1_ps + lat.l2_ps + lat.llc_ps);
+        trace.home = home as u32;
 
         let (t, delta_bits, retry_bits) = {
             let pipeline = &mut self.links[home];
@@ -285,72 +344,49 @@ impl ChipNode {
                 pipeline.retransmitted_wire_bits() - retry_before,
             )
         };
-        let miss_resync = self.note_pipeline_op(home);
-        if t.kind() == TransferKind::RemoteHit {
-            let (writeback, fill_resync) = self.fill_upper(nodes, access.addr, access.is_write);
-            self.fn_clock += wait_ps;
-            return StepTrace {
-                gap_ps,
-                wait_ps,
-                blocking: None,
-                writeback,
-                resyncs: [miss_resync, fill_resync],
-            };
+        trace.resync_bits[0] = self.note_pipeline_op(home);
+        if t.kind() != TransferKind::RemoteHit {
+            trace.addr = access.addr;
+            trace.home_hit = t.home_hit();
+            trace.miss_bits = trace_bits(delta_bits);
+            trace.retry_bits = trace_bits(retry_bits);
         }
-
-        let blocking = Some(BlockingTrace {
-            home,
-            addr: access.addr,
-            home_hit: t.home_hit(),
-            delta_bits,
-            retry_bits,
-        });
-        let (writeback, fill_resync) = self.fill_upper(nodes, access.addr, access.is_write);
-        // Contention-free stamp advance: the fixed latencies, without the
-        // DRAM/wire queueing only the replay knows.
-        self.fn_clock +=
-            wait_ps + c.cycles_to_ps(c.l4_latency_cy) + c.cycles_to_ps(latency.total_cycles());
-        StepTrace {
-            gap_ps,
-            wait_ps,
-            blocking,
-            writeback,
-            resyncs: [miss_resync, fill_resync],
-        }
+        trace.set_victim(self.fill_upper(nodes, access.addr, access.is_write));
+        trace
     }
 
     /// Notes one pipeline operation against that pipeline's degradation
     /// controller (a no-op unless a policy armed controllers). Returns the
-    /// wire charge of a scheduled resync when one fired.
-    fn note_pipeline_op(&mut self, home: usize) -> Option<ResyncTrace> {
-        let ctl = self.controllers.get_mut(home)?;
-        let cost_bits = ctl.note_op(&mut self.links[home])?;
-        Some(ResyncTrace { home, cost_bits })
+    /// wire charge of a scheduled resync when one fired, else 0.
+    fn note_pipeline_op(&mut self, home: usize) -> u32 {
+        let Some(ctl) = self.controllers.get_mut(home) else {
+            return 0;
+        };
+        ctl.note_op(&mut self.links[home]).map_or(0, trace_bits)
     }
 
     /// Functional half of the fill path: fills L2/L1, applies the store,
     /// and pushes any dirty L2 victim through the home pipeline. Returns
-    /// the wire-bandwidth record of a non-silent write-back. Like the
+    /// what the victim cost that pipeline's wire. Like the
     /// thread model's spill, write-backs overlap execution (the store
     /// buffer hides them), so only the wire's bandwidth is consumed — at
     /// replay time, via the returned trace.
-    fn fill_upper(
-        &mut self,
-        nodes: usize,
-        addr: Address,
-        is_write: bool,
-    ) -> (Option<WritebackTrace>, Option<ResyncTrace>) {
+    fn fill_upper(&mut self, nodes: usize, addr: Address, is_write: bool) -> VictimTrace {
         let line = self.gen.content(addr);
         let store = is_write.then(|| self.gen.store_data(addr));
         let Some(victim) = fill_l2_l1(&mut self.l1, &mut self.l2, addr, line, store) else {
-            return (None, None);
+            return VictimTrace::CLEAN;
         };
         let home = (victim.addr.page_number() % nodes as u64) as usize;
         let pipeline = &mut self.links[home];
         // Resident at the home: silent upgrade, the link compresses the
         // eventual write-back on home-side eviction.
         if pipeline.remote_store(victim.addr, victim.data) {
-            return (None, self.note_pipeline_op(home));
+            return VictimTrace {
+                home: home as u32,
+                wb_bits: NONE,
+                resync_bits: self.note_pipeline_op(home),
+            };
         }
         // Read-for-ownership through the link, then store. The wire call
         // is replayed even for zero delta bits — `SharedLink::transfer`
@@ -358,40 +394,34 @@ impl ChipNode {
         let before = pipeline.stats().wire_bits;
         pipeline.request_exclusive(victim.addr, victim.data);
         pipeline.remote_store(victim.addr, victim.data);
-        let delta_bits = pipeline.stats().wire_bits - before;
-        (
-            Some(WritebackTrace { home, delta_bits }),
-            self.note_pipeline_op(home),
-        )
+        let wb_bits = trace_bits(pipeline.stats().wire_bits - before);
+        VictimTrace {
+            home: home as u32,
+            wb_bits,
+            resync_bits: self.note_pipeline_op(home),
+        }
     }
 
     pub(crate) fn retired(&self) -> u64 {
         self.retired
     }
 
-    pub(crate) fn now_ps(&self) -> u64 {
-        self.now_ps
-    }
-
-    pub(crate) fn sync_fn_clock(&mut self) {
-        self.fn_clock = self.now_ps;
-    }
-
-    pub(crate) fn set_link_telemetry(&mut self, tel: &Telemetry) {
+    fn set_telemetry(&mut self, tel: Telemetry) {
         for l in &mut self.links {
             l.set_telemetry(tel.clone());
         }
         for c in &mut self.controllers {
-            c.set_telemetry(tel);
+            c.set_telemetry(&tel);
         }
+        self.tel = tel;
     }
 }
 
 /// Per-access latency probes, resolved once when an enabled telemetry
 /// handle attaches. Recording happens exclusively inside
-/// [`FabricSim::apply_step_timing`] — the only clock-advancing code,
-/// which the shard engine replays sequentially in heap order — so the
-/// histogram state is bit-identical for every worker count.
+/// [`Timing::apply`] — the only clock-advancing code, which both run
+/// methods execute on one thread in heap order — so the histogram state is
+/// bit-identical for every worker count.
 struct FabricLatency {
     /// Fabric-wide per-stage histograms (`lat.{scheme}.measure.{stage}`).
     access: LatencyRecorder,
@@ -400,21 +430,149 @@ struct FabricLatency {
     hops: Vec<(Histogram, Histogram)>,
 }
 
-/// A fully-connected multi-chip CMP with compressed coherence links.
-pub struct FabricSim {
+/// The timing half of a fabric: every chip's clock and the shared
+/// resources. Only the replay ([`Timing::apply`]) touches it, so the
+/// functional half cannot read the time.
+pub(crate) struct Timing {
     nodes: usize,
-    pub(crate) chips: Vec<ChipNode>,
+    /// `clocks[chip]`: the chip's true simulated time.
+    clocks: Vec<u64>,
     /// Per unordered chip pair: the shared physical PTP wire.
     wires: Vec<SharedLink>,
     local_wires: Vec<SharedLink>,
     drams: Vec<DramModel>,
+    l4_ps: u64,
+    codec_ps: u64,
+    tel: Telemetry,
+    lat: Option<FabricLatency>,
+    /// Per chip: telemetry its steps staged, taken from the chip's staging
+    /// handle and waiting for the replay to stamp it.
+    staged: Vec<StagedOps>,
+}
+
+impl Timing {
+    pub(crate) fn clock(&self, chip: usize) -> u64 {
+        self.clocks[chip]
+    }
+
+    /// Takes what `chip`'s staging handle holds back into its replay queue.
+    pub(crate) fn take_staged(&mut self, idx: usize, chip: &ChipNode) {
+        chip.tel.take_staged(&mut self.staged[idx]);
+    }
+
+    /// Replays one [`StepTrace`] against the shared timing resources, in
+    /// exactly the operation order of the original fused step: the step's
+    /// staged telemetry at its start time, then L4 + DRAM + compression
+    /// latency + wire for a blocking miss, then the (non-blocking) victim
+    /// write-back's wire occupancy at the step's final clock.
+    pub(crate) fn apply(&mut self, idx: usize, trace: &StepTrace) {
+        let start = self.clocks[idx] + trace.gap_ps;
+        if self.tel.is_enabled() {
+            self.tel
+                .replay_staged(&mut self.staged[idx], trace.staged as usize, start);
+        }
+        let mut now = start + trace.wait_ps;
+        if trace.miss_bits != NONE {
+            let home = trace.home as usize;
+            let (miss_bits, retry_bits) = (u64::from(trace.miss_bits), u64::from(trace.retry_bits));
+            let mut ready = now + self.l4_ps;
+            let dram_in = ready;
+            if !trace.home_hit {
+                ready = self.drams[home].access(ready, trace.addr);
+            }
+            let dram_ps = ready - dram_in;
+            ready += self.codec_ps;
+            let wire_in = ready;
+            // Read the queue depth and serialization constants while the
+            // wire borrow is live, then drop it before touching the probes.
+            let (queue_ps, ser_full, ser_clean, done) = {
+                let wire = self.wire_to(idx, home);
+                let queue_ps = wire.busy_until().saturating_sub(wire_in);
+                let done = wire.transfer(ready, miss_bits);
+                (
+                    queue_ps,
+                    wire.serialize_ps(miss_bits),
+                    wire.serialize_ps(miss_bits - retry_bits),
+                    done,
+                )
+            };
+            if let Some(lat) = &self.lat {
+                let retry_ps = ser_full - ser_clean;
+                let wire_ps = done - wire_in - queue_ps - retry_ps;
+                lat.access.record(&StageSpans {
+                    hier: trace.wait_ps + self.l4_ps,
+                    codec: self.codec_ps,
+                    queue: queue_ps,
+                    wire: wire_ps,
+                    retry: retry_ps,
+                    dram: dram_ps,
+                });
+                if home != idx {
+                    let (queue, wire) = &lat.hops[wire_pair_index(self.nodes, idx, home)];
+                    queue.record(queue_ps);
+                    wire.record(wire_ps);
+                }
+            }
+            now = done;
+        } else if let Some(lat) = &self.lat {
+            // Locally-satisfied step: the whole access is hierarchy time.
+            lat.access.record(&StageSpans {
+                hier: trace.wait_ps,
+                ..StageSpans::default()
+            });
+        }
+        self.clocks[idx] = now;
+        if trace.wb_bits != NONE {
+            self.wire_to(idx, trace.victim_home as usize)
+                .transfer(now, u64::from(trace.wb_bits));
+        }
+        // Scheduled-resync repair traffic occupies the same wire the
+        // pipeline runs on, at the step's final clock: recovery is honest
+        // bandwidth the figures can see, but (like write-backs) it does
+        // not block the requester.
+        for (home, bits) in [trace.home, trace.victim_home]
+            .into_iter()
+            .zip(trace.resync_bits)
+        {
+            if bits == 0 {
+                continue;
+            }
+            let wire = self.wire_to(idx, home as usize);
+            let cost_ps = wire.serialize_ps(u64::from(bits));
+            wire.transfer(now, u64::from(bits));
+            // Resync repair is charged as a standalone retry-only sample:
+            // it never blocks the requester, but it is honest recovery
+            // latency the percentile tables must not hide.
+            if let Some(lat) = &self.lat {
+                lat.access.record(&StageSpans {
+                    retry: cost_ps,
+                    ..StageSpans::default()
+                });
+            }
+        }
+    }
+
+    /// The wire a pipeline from `idx` to `home` rides: the chip's local
+    /// memory link, or the PTP wire of the pair.
+    fn wire_to(&mut self, idx: usize, home: usize) -> &mut SharedLink {
+        if home == idx {
+            &mut self.local_wires[idx]
+        } else {
+            &mut self.wires[wire_pair_index(self.nodes, idx, home)]
+        }
+    }
+}
+
+/// A fully-connected multi-chip CMP with compressed coherence links.
+pub struct FabricSim {
+    nodes: usize,
+    chips: Vec<ChipNode>,
+    timing: Timing,
     config: SystemConfig,
     scheme: Scheme,
-    latency: CompressionLatency,
+    latencies: FixedLatencies,
     /// PTP link bandwidth in bytes/s.
     ptp_bytes_per_sec: f64,
-    pub(crate) tel: Telemetry,
-    lat: Option<FabricLatency>,
 }
 
 impl FabricSim {
@@ -503,65 +661,72 @@ impl FabricSim {
                     gen,
                     l1: SetAssocCache::new(CacheGeometry::new(config.l1_bytes, config.l1_ways)),
                     l2: SetAssocCache::new(CacheGeometry::new(config.l2_bytes, config.l2_ways)),
-                    now_ps: 0,
                     retired: 0,
                     accesses: 0,
-                    fn_clock: 0,
                     links,
                     controllers,
+                    tel: Telemetry::disabled(),
                 }
             })
             .collect();
-        let wires = (0..nodes * (nodes - 1) / 2)
-            .map(|_| SharedLink::new(ptp_bytes_per_sec, config.link_setup_ps))
-            .collect();
-        let local_wires = (0..nodes)
-            .map(|_| SharedLink::from_config(&config))
-            .collect();
-        let drams = (0..nodes)
-            .map(|_| DramModel::from_config(&config))
-            .collect();
+        let latencies = FixedLatencies::new(&config, scheme.latency());
+        let timing = Timing {
+            nodes,
+            clocks: vec![0; nodes],
+            wires: (0..nodes * (nodes - 1) / 2)
+                .map(|_| SharedLink::new(ptp_bytes_per_sec, config.link_setup_ps))
+                .collect(),
+            local_wires: (0..nodes)
+                .map(|_| SharedLink::from_config(&config))
+                .collect(),
+            drams: (0..nodes)
+                .map(|_| DramModel::from_config(&config))
+                .collect(),
+            l4_ps: latencies.l4_ps,
+            codec_ps: latencies.codec_ps,
+            tel: Telemetry::disabled(),
+            lat: None,
+            staged: (0..nodes).map(|_| StagedOps::default()).collect(),
+        };
         FabricSim {
             nodes,
             chips,
-            wires,
-            local_wires,
-            drams,
+            timing,
             config,
             scheme,
-            latency: scheme.latency(),
+            latencies,
             ptp_bytes_per_sec,
-            tel: Telemetry::disabled(),
-            lat: None,
         }
     }
 
     /// Attaches a [`Telemetry`] handle to every coherence pipeline, local
-    /// link, PTP wire, and DRAM channel in the fabric. The stepping chip
-    /// advances the handle's sim-time clock, so events carry the clock of
-    /// whichever chip generated them.
+    /// link, PTP wire, and DRAM channel in the fabric. Pipeline events are
+    /// stamped with the start time of the step that produced them, wire
+    /// and DRAM events with their occupancy intervals; the handle's clock
+    /// follows the last replayed step.
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         for chip in &mut self.chips {
-            chip.set_link_telemetry(&tel);
+            chip.set_telemetry(tel.staging());
         }
-        for (hop, w) in self.wires.iter_mut().enumerate() {
+        let t = &mut self.timing;
+        for (hop, w) in t.wires.iter_mut().enumerate() {
             // PTP mesh wires carry a hop id (their triangular pair
             // index), so their occupancy traces as per-hop mesh slices
             // with queue depth rather than generic link-busy intervals.
             w.set_hop(hop as u32);
             w.set_telemetry(tel.clone());
         }
-        for w in &mut self.local_wires {
+        for w in &mut t.local_wires {
             w.set_telemetry(tel.clone());
         }
-        for d in &mut self.drams {
+        for d in &mut t.drams {
             d.set_telemetry(tel.clone());
         }
-        self.lat = tel.is_enabled().then(|| {
+        t.lat = tel.is_enabled().then(|| {
             let label = self.scheme.label();
             FabricLatency {
                 access: LatencyRecorder::new(&tel, &label, "measure"),
-                hops: (0..self.wires.len())
+                hops: (0..t.wires.len())
                     .map(|h| {
                         let id = |stage| latency_hop_metric_id(&label, "measure", h as u32, stage);
                         (
@@ -572,7 +737,20 @@ impl FabricSim {
                     .collect(),
             }
         });
-        self.tel = tel;
+        t.tel = tel;
+        self.flush_staged();
+    }
+
+    /// Applies telemetry staged outside any step (attaching handles,
+    /// arming faults) at the handle's current clock, chip by chip.
+    fn flush_staged(&mut self) {
+        let now = self.timing.tel.now_ps();
+        for (i, chip) in self.chips.iter().enumerate() {
+            let t = &mut self.timing;
+            t.take_staged(i, chip);
+            let n = t.staged[i].len();
+            t.tel.replay_staged(&mut t.staged[i], n, now);
+        }
     }
 
     /// Number of chips in the fabric.
@@ -581,12 +759,17 @@ impl FabricSim {
         self.nodes
     }
 
-    pub(crate) fn sim_params(&self) -> (SystemConfig, CompressionLatency) {
-        (self.config, self.latency)
-    }
-
-    fn wire_index(&self, a: usize, b: usize) -> usize {
-        wire_pair_index(self.nodes, a, b)
+    /// The engine's view of the fabric: the chips for the functional
+    /// phase, the timing state for the replay, and the fixed latencies.
+    pub(crate) fn split_mut(
+        &mut self,
+    ) -> (&mut [ChipNode], &mut Timing, SystemConfig, FixedLatencies) {
+        (
+            &mut self.chips,
+            &mut self.timing,
+            self.config,
+            self.latencies,
+        )
     }
 
     /// The home chip of an address (round-robin page allocation).
@@ -595,48 +778,30 @@ impl FabricSim {
         (addr.page_number() % self.nodes as u64) as usize
     }
 
-    /// Runs until every chip retires `instructions_per_chip`.
-    ///
-    /// Time advances event-driven: a min-heap keyed on `(now_ps, chip)`
-    /// always yields the chip with the earliest local clock (ties broken
-    /// lowest-index-first, matching the seed linear scan); a chip that
-    /// reaches its target is simply not re-queued, so there is no per-step
-    /// all-done scan.
-    pub fn run(&mut self, instructions_per_chip: u64) -> FabricResult {
-        let mut sched = Scheduler::with_capacity(self.nodes);
-        for (i, chip) in self.chips.iter().enumerate() {
-            if chip.retired < instructions_per_chip {
-                sched.push(chip.now_ps, i);
-            }
-        }
-        while let Some((_, idx)) = sched.pop() {
-            self.step_chip(idx);
-            let chip = &self.chips[idx];
-            if chip.retired < instructions_per_chip {
-                sched.push(chip.now_ps, idx);
-            }
-        }
-        self.result()
-    }
-
-    /// Runs until every chip retires `instructions_per_chip`, sharded
-    /// across `workers` OS threads — bit-identical to [`FabricSim::run`]
-    /// for every worker count (see [`crate::shard`]).
+    /// Runs until every chip retires `instructions_per_chip`, with the
+    /// functional work spread over `workers` threads in total (1: the
+    /// calling thread alone, no spawn). Results, telemetry and every
+    /// statistic are identical for every worker count and to
+    /// [`FabricSim::run_linear`] (see [`crate::shard`]).
     pub fn run_sharded(&mut self, instructions_per_chip: u64, workers: usize) -> FabricResult {
         crate::shard::run_fabric_sharded(self, instructions_per_chip, workers)
     }
 
-    /// The seed O(N)-scan scheduler, kept verbatim as the equivalence
-    /// oracle for [`FabricSim::run`]: the `sched_equivalence` tests and the
-    /// `BENCH_sim` speedup measurement both drive it.
+    /// The seed O(N)-scan scheduler over fused steps, kept verbatim as the
+    /// equivalence oracle for [`FabricSim::run_sharded`]: the
+    /// `sched_equivalence` and `shard_equivalence` tests and the
+    /// `BENCH_sim` speedup measurement drive it.
     #[doc(hidden)]
     pub fn run_linear(&mut self, instructions_per_chip: u64) -> FabricResult {
         loop {
             let idx = (0..self.nodes)
                 .filter(|&i| self.chips[i].retired < instructions_per_chip)
-                .min_by_key(|&i| self.chips[i].now_ps);
+                .min_by_key(|&i| self.timing.clocks[i]);
             let Some(idx) = idx else { break };
-            self.step_chip(idx);
+            let chip = &mut self.chips[idx];
+            let trace = chip.step_functional(self.nodes, &self.config, &self.latencies);
+            self.timing.take_staged(idx, chip);
+            self.timing.apply(idx, &trace);
         }
         self.result()
     }
@@ -644,114 +809,7 @@ impl FabricSim {
     pub(crate) fn result(&self) -> FabricResult {
         FabricResult {
             instructions: self.chips.iter().map(|c| c.retired).sum(),
-            elapsed_ps: self.chips.iter().map(|c| c.now_ps).max().unwrap_or(0),
-        }
-    }
-
-    /// One fused step: functional half, then its timing replay. The
-    /// single-threaded drivers call this back-to-back, so the stamp clock
-    /// can track the true clock exactly.
-    fn step_chip(&mut self, idx: usize) {
-        let trace =
-            self.chips[idx].step_functional(self.nodes, &self.config, self.latency, &self.tel);
-        self.apply_step_timing(idx, &trace);
-        self.chips[idx].sync_fn_clock();
-    }
-
-    /// Replays one [`StepTrace`] against the shared timing resources, in
-    /// exactly the operation order of the original fused step: clock
-    /// advance, then L4 + DRAM + compression latency + wire for a blocking
-    /// miss, then the (non-blocking) victim write-back's wire occupancy at
-    /// the step's final clock.
-    pub(crate) fn apply_step_timing(&mut self, idx: usize, trace: &StepTrace) {
-        let c = &self.config;
-        self.chips[idx].now_ps += trace.gap_ps + trace.wait_ps;
-        if let Some(b) = &trace.blocking {
-            let l4_ps = c.cycles_to_ps(c.l4_latency_cy);
-            let mut ready = self.chips[idx].now_ps + l4_ps;
-            let dram_in = ready;
-            if !b.home_hit {
-                ready = self.drams[b.home].access(ready, b.addr);
-            }
-            let dram_ps = ready - dram_in;
-            let codec_ps = c.cycles_to_ps(self.latency.total_cycles());
-            ready += codec_ps;
-            let wire_in = ready;
-            let hop = (b.home != idx).then(|| self.wire_index(idx, b.home));
-            // Read the queue depth and serialization constants while the
-            // wire borrow is live, then drop it before touching the probes.
-            let (queue_ps, ser_full, ser_clean, done) = {
-                let wire = match hop {
-                    Some(w) => &mut self.wires[w],
-                    None => &mut self.local_wires[idx],
-                };
-                let queue_ps = wire.busy_until().saturating_sub(wire_in);
-                let done = wire.transfer(ready, b.delta_bits);
-                (
-                    queue_ps,
-                    wire.serialize_ps(b.delta_bits),
-                    wire.serialize_ps(b.delta_bits - b.retry_bits),
-                    done,
-                )
-            };
-            if let Some(lat) = &self.lat {
-                let retry_ps = ser_full - ser_clean;
-                let wire_ps = done - wire_in - queue_ps - retry_ps;
-                lat.access.record(&StageSpans {
-                    hier: trace.wait_ps + l4_ps,
-                    codec: codec_ps,
-                    queue: queue_ps,
-                    wire: wire_ps,
-                    retry: retry_ps,
-                    dram: dram_ps,
-                });
-                if let Some(w) = hop {
-                    lat.hops[w].0.record(queue_ps);
-                    lat.hops[w].1.record(wire_ps);
-                }
-            }
-            self.chips[idx].now_ps = done;
-        } else if let Some(lat) = &self.lat {
-            // Locally-satisfied step: the whole access is hierarchy time.
-            lat.access.record(&StageSpans {
-                hier: trace.wait_ps,
-                ..StageSpans::default()
-            });
-        }
-        if let Some(wb) = &trace.writeback {
-            let now = self.chips[idx].now_ps;
-            if wb.home == idx {
-                self.local_wires[idx].transfer(now, wb.delta_bits);
-            } else {
-                let w = self.wire_index(idx, wb.home);
-                self.wires[w].transfer(now, wb.delta_bits);
-            }
-        }
-        // Scheduled-resync repair traffic occupies the same wire the
-        // pipeline runs on, at the step's final clock: recovery is honest
-        // bandwidth the figures can see, but (like write-backs) it does
-        // not block the requester.
-        for rs in trace.resyncs.iter().flatten() {
-            let now = self.chips[idx].now_ps;
-            let cost_ps = if rs.home == idx {
-                let cost = self.local_wires[idx].serialize_ps(rs.cost_bits);
-                self.local_wires[idx].transfer(now, rs.cost_bits);
-                cost
-            } else {
-                let w = self.wire_index(idx, rs.home);
-                let cost = self.wires[w].serialize_ps(rs.cost_bits);
-                self.wires[w].transfer(now, rs.cost_bits);
-                cost
-            };
-            // Resync repair is charged as a standalone retry-only sample:
-            // it never blocks the requester, but it is honest recovery
-            // latency the percentile tables must not hide.
-            if let Some(lat) = &self.lat {
-                lat.access.record(&StageSpans {
-                    retry: cost_ps,
-                    ..StageSpans::default()
-                });
-            }
+            elapsed_ps: self.timing.clocks.iter().copied().max().unwrap_or(0),
         }
     }
 
@@ -801,7 +859,7 @@ impl FabricSim {
     /// of `cable report --hops` and the shard-equivalence digests.
     #[must_use]
     pub fn hop_stats(&self) -> Vec<HopStats> {
-        let mut out = Vec::with_capacity(self.wires.len());
+        let mut out = Vec::with_capacity(self.timing.wires.len());
         for lo in 0..self.nodes {
             for hi in lo + 1..self.nodes {
                 let hop = wire_pair_index(self.nodes, lo, hi);
@@ -811,7 +869,7 @@ impl FabricSim {
                         fault.get_or_insert_with(FaultStats::default).accumulate(fs);
                     }
                 }
-                let w = &self.wires[hop];
+                let w = &self.timing.wires[hop];
                 out.push(HopStats {
                     hop: hop as u32,
                     chips: (lo, hi),
@@ -884,6 +942,7 @@ impl FabricSim {
                 }
             }
         }
+        self.flush_staged();
     }
 
     /// A digest of every shared timing resource plus per-chip clocks and
@@ -891,18 +950,19 @@ impl FabricSim {
     /// fingerprints match. Used by the shard-determinism tests.
     #[must_use]
     pub fn timing_fingerprint(&self) -> Vec<u64> {
-        let mut fp = Vec::with_capacity(self.nodes * 3 + self.wires.len() * 2);
-        for chip in &self.chips {
-            fp.push(chip.now_ps);
+        let t = &self.timing;
+        let mut fp = Vec::with_capacity(self.nodes * 3 + t.wires.len() * 2);
+        for (chip, &clock) in self.chips.iter().zip(&t.clocks) {
+            fp.push(clock);
             fp.push(chip.retired);
             fp.push(chip.accesses);
         }
-        for w in self.wires.iter().chain(&self.local_wires) {
+        for w in t.wires.iter().chain(&t.local_wires) {
             fp.push(w.bits_sent());
             fp.push(w.busy_ps_total());
             fp.push(w.busy_until());
         }
-        for d in &self.drams {
+        for d in &t.drams {
             fp.push(d.accesses());
         }
         fp
@@ -973,8 +1033,8 @@ mod tests {
         for a in 0..4 {
             for b in 0..4 {
                 if a != b {
-                    let w = f.wire_index(a, b);
-                    assert_eq!(w, f.wire_index(b, a), "symmetric");
+                    let w = wire_pair_index(f.nodes(), a, b);
+                    assert_eq!(w, wire_pair_index(f.nodes(), b, a), "symmetric");
                     seen.insert(w);
                     assert!(w < 6);
                 }
@@ -1004,7 +1064,7 @@ mod tests {
             4,
             19.2e9,
         );
-        let r = f.run(10_000);
+        let r = f.run_sharded(10_000, 1);
         assert!(r.instructions >= 4 * 10_000);
         assert!(r.elapsed_ps > 0);
         let s = f.coherence_stats();
@@ -1024,8 +1084,8 @@ mod tests {
             4,
             scarce,
         );
-        let rb = base.run(15_000);
-        let rc = cable.run(15_000);
+        let rb = base.run_sharded(15_000, 1);
+        let rc = cable.run_sharded(15_000, 1);
         let speedup = rc.ips() / rb.ips();
         assert!(speedup > 1.3, "speedup {speedup}");
     }
@@ -1040,7 +1100,7 @@ mod tests {
         );
         let tel = Telemetry::enabled();
         f.set_telemetry(tel.clone());
-        f.run(5_000);
+        f.run_sharded(5_000, 1);
         let hops: std::collections::HashSet<u32> = tel
             .events()
             .iter()
@@ -1068,7 +1128,7 @@ mod tests {
             2,
             19.2e9,
         );
-        f.run(5_000);
+        f.run_sharded(5_000, 1);
         let coherence = f.coherence_stats();
         let local: u64 = f.local_link_stats().iter().map(|s| s.fills).sum();
         assert!(coherence.fills > 0);
@@ -1089,7 +1149,7 @@ mod tests {
             19.2e9,
             &cfg,
         );
-        f.run(20_000);
+        f.run_sharded(20_000, 1);
         let hops = f.hop_stats();
         assert_eq!(hops.len(), 6, "six wires in a 4-chip mesh");
         assert!(
@@ -1126,7 +1186,7 @@ mod tests {
             19.2e9,
             &cfg,
         );
-        f.run(20_000);
+        f.run_sharded(20_000, 1);
         let seeds: std::collections::HashSet<u64> = (0..4)
             .flat_map(|i| (0..4).filter(move |&h| h != i).map(move |h| (i, h)))
             .map(|(i, h)| pipeline_fault_config(4, i, h, &cfg).unwrap().seed)
@@ -1157,7 +1217,7 @@ mod tests {
             19.2e9,
             &cfg,
         );
-        f.run(20_000);
+        f.run_sharded(20_000, 1);
         let fs = f.fault_stats().expect("fault mode must be armed");
         assert!(fs.injected_bit_flips > 0, "rate 1e-3 must flip bits");
         assert_eq!(fs.recovered, fs.detected);

@@ -14,7 +14,7 @@
 //! - [`adaptive`]: the §VI-D on/off compression controller;
 //! - [`sched`]: the event-driven [`Scheduler`]/[`DoneTracker`] core shared
 //!   by every multi-actor timing loop;
-//! - [`shard`]: the epoch-synchronized parallel engine behind
+//! - [`shard`]: the epoch-pipelined parallel engine behind
 //!   [`FabricSim::run_sharded`] and [`NumaSim::run_sharded`] —
 //!   bit-identical to the single-threaded runs for every worker count;
 //! - [`arena`]: the [`SimArena`] warm-state cache that amortises group

@@ -5,7 +5,7 @@
 //! second O(N) "is everyone done" scan. [`Scheduler`] replaces both: a
 //! binary min-heap keyed on `(now_ps, actor_index)` makes each pick
 //! O(log N), and [`DoneTracker`] counts retirements so the completion
-//! check is O(1). `run_group_warmed`, `FabricSim::run` and the bench
+//! check is O(1). `run_group_warmed`, the fabric's timing replay and the bench
 //! crate's controller sweep all share this core.
 //!
 //! # Tie-breaking

@@ -129,7 +129,7 @@ fn fabric_burst_degrades_and_recovers() {
         19.2e9,
         &cfg,
     );
-    sim.run(2_000);
+    sim.run_sharded(2_000, 1);
     let pre = sim.degradation_stats().expect("controllers armed");
     assert_eq!(pre.demotions, 0, "no faults, no demotions");
     assert!(sim
@@ -138,7 +138,7 @@ fn fabric_burst_degrades_and_recovers() {
         .all(|&l| l == DegradeLevel::Compressed));
 
     sim.set_fault_injection(Some(FaultConfig::with_rate(0xB00, 1e-2)));
-    sim.run(8_000);
+    sim.run_sharded(8_000, 1);
     let burst = sim.degradation_stats().expect("controllers armed");
     assert!(burst.demotions > 0, "dense NACKs must step the ladder down");
     let fs = sim.fault_stats().expect("fault mode");
@@ -146,7 +146,7 @@ fn fabric_burst_degrades_and_recovers() {
     assert_eq!(fs.recovered, fs.detected);
 
     sim.set_fault_injection(None);
-    sim.run(22_000);
+    sim.run_sharded(22_000, 1);
     let post = sim.degradation_stats().expect("controllers armed");
     assert!(post.promotions >= 1, "quiet windows must re-arm");
     assert!(
@@ -184,7 +184,7 @@ fn fabric_resync_cost_reaches_the_wires() {
             19.2e9,
             cfg,
         );
-        let r = sim.run(5_000);
+        let r = sim.run_sharded(5_000, 1);
         (
             sim.coherence_stats(),
             sim.degradation_stats(),

@@ -6,10 +6,13 @@
 //! and checks two budgets at the mesh geometry (16 KiB 8-way home slice,
 //! 8 KiB 4-way remote slice):
 //!
-//! - a link built next to a live one allocates at most 40 KiB and builds
+//! - a link built next to a live one allocates at most 37 KiB and builds
 //!   no H3 table set (links with one signature seed share it);
-//! - an 8-chip `FabricSim::with_config` holds at most 40 KiB of heap per
+//! - an 8-chip `FabricSim::with_config` holds at most 39 KiB of heap per
 //!   pipeline, everything else on the chips included.
+//!
+//! Both sit about 2% above the measured 36,984 B per link and 39,217 B
+//! per pipeline.
 //!
 //! A new per-link allocation (a table sized to the cache, a buffer
 //! grown up front) shows here before it shows in a mesh's peak RSS.
@@ -79,8 +82,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The per-link (and per-pipeline) heap budget.
-const BUDGET_BYTES: u64 = 40 << 10;
+/// The heap budget of one mesh link.
+const LINK_BUDGET_BYTES: u64 = 37 << 10;
+
+/// The heap budget per pipeline of a whole fabric.
+const PIPELINE_BUDGET_BYTES: u64 = 39 << 10;
 
 /// Per-chip geometry of the 10k-endpoint mesh: caches scaled far below
 /// Table IV so that 71 x 71 pipelines fit in memory.
@@ -121,8 +127,8 @@ fn a_mesh_link_fits_its_budget_and_shares_h3() {
         "a link built next to a live one with the same seed built its own H3 tables"
     );
     assert!(
-        bytes <= BUDGET_BYTES,
-        "a mesh link allocated {bytes} B, over the {BUDGET_BYTES} B budget"
+        bytes <= LINK_BUDGET_BYTES,
+        "a mesh link allocated {bytes} B, over the {LINK_BUDGET_BYTES} B budget"
     );
     drop((first, second));
 }
@@ -142,8 +148,8 @@ fn an_eight_chip_mesh_holds_at_most_the_budget_per_pipeline() {
     let held = (live() - before) as u64;
     let pipelines = (CHIPS * CHIPS) as u64;
     assert!(
-        held <= pipelines * BUDGET_BYTES,
-        "{CHIPS}-chip fabric holds {held} B ({} B per pipeline), over the {BUDGET_BYTES} B budget",
+        held <= pipelines * PIPELINE_BUDGET_BYTES,
+        "{CHIPS}-chip fabric holds {held} B ({} B per pipeline), over the {PIPELINE_BUDGET_BYTES} B budget",
         held / pipelines
     );
     drop(sim);

@@ -141,7 +141,7 @@ fn fabric_decomposition_is_exact_under_faults_and_resyncs() {
     );
     let tel = Telemetry::enabled();
     sim.set_telemetry(tel.clone());
-    sim.run(3_000);
+    sim.run_sharded(3_000, 1);
     assert_eq!(assert_exact_decomposition(&tel, "fabric"), 1);
 
     // Hop-keyed queue/wire histograms exist for the mesh wires and hold

@@ -82,7 +82,7 @@ fn fabric_heap_matches_linear_scan() {
             for nodes in [2usize, 4] {
                 let mut heap = FabricSim::new(profile, scheme, nodes, 12.8e9);
                 let mut linear = FabricSim::new(profile, scheme, nodes, 12.8e9);
-                let h = heap.run(400);
+                let h = heap.run_sharded(400, 1);
                 let l = linear.run_linear(400);
                 assert_eq!(
                     h.instructions, l.instructions,

@@ -1,22 +1,25 @@
 //! Sharded engine ⇔ single-threaded determinism.
 //!
-//! The epoch-parallel engine (`cable_sim::shard`) must be *bit-identical*
-//! to the single-threaded event loop for every worker count — results,
+//! The pipelined engine (`cable_sim::shard`) must be *bit-identical* to
+//! the fused single-threaded loop for every worker count — results,
 //! per-pipeline `LinkStats`, shared-resource busy time, DRAM access
-//! counts, and fault-mode frames. These property tests sweep worker
-//! counts {1, 2, 4, 8} against the in-tree oracles (the seed linear scan
-//! `run_linear`, plus the event-driven `FabricSim::run`) over randomized
-//! topologies, schemes, bandwidths, and fault schedules.
+//! counts, fault-mode frames, and the exported telemetry bytes. These
+//! tests sweep worker counts {1, 2, 4, 8} against the in-tree oracle (the
+//! seed linear scan `run_linear`) over randomized topologies, schemes,
+//! bandwidths, and fault schedules.
 
 use cable_common::SplitMix64;
 use cable_compress::EngineKind;
 use cable_core::{BaselineKind, FaultConfig, LinkStats};
 use cable_sim::{DegradeLevel, DegradePolicy, FabricSim, NumaSim, Scheme, SystemConfig};
-use cable_telemetry::Telemetry;
+use cable_telemetry::{Telemetry, TracerConfig};
 use cable_trace::{by_name, WorkloadProfile, ALL_WORKLOADS};
 use proptest::prelude::*;
 
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+// The replay streams one trace per simulated access: keep it a cache line.
+const _: () = assert!(cable_sim::shard::STEP_TRACE_BYTES <= 64);
 
 /// A scaled-down Table IV: small geometries force LLC/L4 evictions and
 /// dirty write-backs (the trickiest replay paths — zero-bit wire calls
@@ -95,26 +98,16 @@ fn run_fabric_case(cfg: &SystemConfig, seed: u64, instructions: u64) {
 
     let oracle = {
         let mut sim = build();
-        let r = sim.run(instructions);
-        digest(&sim, r)
-    };
-    let linear = {
-        let mut sim = build();
         let r = sim.run_linear(instructions);
         digest(&sim, r)
     };
-    assert_eq!(
-        oracle, linear,
-        "{}/{scheme:?}/{nodes}n: event vs linear oracle",
-        profile.name
-    );
     for workers in WORKER_SWEEP {
         let mut sim = build();
         let r = sim.run_sharded(instructions, workers);
         let sharded = digest(&sim, r);
         assert_eq!(
             oracle, sharded,
-            "{}/{scheme:?}/{nodes}n: sharded({workers}) diverged from single-threaded",
+            "{}/{scheme:?}/{nodes}n: sharded({workers}) diverged from run_linear",
             profile.name
         );
     }
@@ -247,174 +240,153 @@ proptest! {
 }
 
 #[test]
-fn fabric_paper_config_sharded_matches_run() {
+fn fabric_paper_config_sharded_matches_run_linear() {
     // One full-geometry spot check (the proptest sweep uses the small
     // config to afford many cases).
-    let mut a = FabricSim::new(
-        by_name("mcf").unwrap(),
-        Scheme::Cable(EngineKind::Lbe),
-        4,
-        3e8,
-    );
-    let ra = a.run(6_000);
-    let mut b = FabricSim::new(
-        by_name("mcf").unwrap(),
-        Scheme::Cable(EngineKind::Lbe),
-        4,
-        3e8,
-    );
+    let build = || {
+        FabricSim::new(
+            by_name("mcf").unwrap(),
+            Scheme::Cable(EngineKind::Lbe),
+            4,
+            3e8,
+        )
+    };
+    let mut a = build();
+    let ra = a.run_linear(6_000);
+    let mut b = build();
     let rb = b.run_sharded(6_000, 3);
     assert_eq!(digest(&a, ra), digest(&b, rb));
 }
 
-#[test]
-fn sharded_telemetry_is_deterministic_across_worker_counts() {
-    // Shard forks stamp functional events on per-shard clocks and merge
-    // in (now_ps, shard, seq) order; worker count must not change the
-    // merged trace or the shared metrics registry.
-    let trace_of = |workers: usize| {
-        let mut sim = FabricSim::with_config(
-            by_name("mcf").unwrap(),
-            Scheme::Cable(EngineKind::Lbe),
-            4,
-            19.2e9,
-            &small_config(),
-        );
-        let tel = Telemetry::enabled();
-        sim.set_telemetry(tel.clone());
-        sim.run_sharded(3_000, workers);
-        let events: Vec<(u64, cable_telemetry::Event)> = tel
-            .events()
-            .iter()
-            .map(|te| (te.now_ps, te.event))
-            .collect();
-        let mut metrics: Vec<String> = tel
-            .snapshot()
-            .metrics
-            .iter()
-            .map(|m| format!("{m:?}"))
-            .collect();
-        metrics.sort();
-        // The equality below must cover the latency-attribution state:
-        // guard that the snapshot actually carries populated `lat.*`
-        // histograms, so percentile tables are provably bit-identical
-        // between single-threaded and sharded runs.
-        assert!(
-            tel.snapshot().metrics.iter().any(|m| {
-                m.id().starts_with("lat.")
-                    && matches!(m, cable_telemetry::MetricValue::Histogram { count, .. } if *count > 0)
-            }),
-            "snapshot must include populated latency histograms"
-        );
-        (events, metrics)
+/// Everything a traced fabric run exports: the JSONL bytes (metrics
+/// snapshot plus every event with its stamp), the drop count, and the
+/// run's digest.
+#[derive(Debug, PartialEq)]
+struct TracedRun {
+    jsonl: String,
+    dropped: u64,
+    digest: FabricDigest,
+}
+
+/// Runs a 4-chip mcf fabric under `cfg` with telemetry on a ring of
+/// `capacity` events per track, through `run_linear` (`None`) or
+/// `run_sharded` with the given worker count.
+fn traced_run(cfg: &SystemConfig, capacity: usize, workers: Option<usize>) -> TracedRun {
+    let mut sim = FabricSim::with_config(
+        by_name("mcf").unwrap(),
+        Scheme::Cable(EngineKind::Lbe),
+        4,
+        19.2e9,
+        cfg,
+    );
+    let tel = Telemetry::with_config(TracerConfig::with_capacity(capacity));
+    sim.set_telemetry(tel.clone());
+    let r = match workers {
+        Some(w) => sim.run_sharded(3_000, w),
+        None => sim.run_linear(3_000),
     };
-    let one = trace_of(1);
-    for workers in [2, 4, 8] {
-        assert_eq!(one, trace_of(workers), "workers={workers}");
+    TracedRun {
+        jsonl: tel.export_jsonl(),
+        dropped: tel.dropped_events(),
+        digest: digest(&sim, r),
     }
 }
 
+/// Asserts every worker count exports exactly what `run_linear` exports.
+fn assert_traces_match_run_linear(what: &str, cfg: &SystemConfig, capacity: usize) -> TracedRun {
+    let oracle = traced_run(cfg, capacity, None);
+    for workers in WORKER_SWEEP {
+        let sharded = traced_run(cfg, capacity, Some(workers));
+        assert!(
+            sharded == oracle,
+            "{what}: sharded({workers}) telemetry diverged from run_linear"
+        );
+    }
+    oracle
+}
+
 #[test]
-fn mesh_faulted_hop_metrics_are_worker_count_invariant() {
+fn sharded_telemetry_matches_run_linear_byte_for_byte() {
+    // Pipeline events are stamped at replay time with the step's start,
+    // so the exported trace equals the fused loop's event for event —
+    // stamps, order and the metrics snapshot (latency histograms
+    // included) alike.
+    let run = assert_traces_match_run_linear("plain", &small_config(), 1 << 20);
+    assert_eq!(run.dropped, 0);
+    assert!(
+        run.jsonl.contains("\"lat.CABLE+LBE.measure.total\""),
+        "the snapshot must carry populated latency histograms"
+    );
+    assert!(run.jsonl.contains("\"mesh_hop\""), "PTP traffic traces");
+}
+
+#[test]
+fn overflowing_ring_evicts_the_same_events_for_every_worker_count() {
+    // A ring far smaller than the run: eviction follows recording order,
+    // which is run_linear's order for every worker count.
+    let cfg = SystemConfig {
+        fault: Some(FaultConfig::with_rate(0xFA17, 8e-3)),
+        ..small_config()
+    };
+    let run = assert_traces_match_run_linear("overflow", &cfg, 64);
+    assert!(run.dropped > 0, "the ring must overflow");
+}
+
+#[test]
+fn mesh_faulted_hop_metrics_match_run_linear() {
     // The per-hop surface end to end: `mesh.hop.*` registry metrics (wire
     // occupancy from the shared links, fault counters from the armed
-    // pipelines) and the `hop_stats()` rollup must be bit-identical
-    // between `run` and `run_sharded` for every worker count.
+    // pipelines), the `hop_stats()` rollup and the trace must be
+    // bit-identical to `run_linear` for every worker count.
     let cfg = SystemConfig {
         mesh_fault: Some(FaultConfig::with_rate(0xFA17, 5e-3)),
         mesh_fault_hop: Some(1),
         ..small_config()
     };
-    let hop_view = |workers: Option<usize>| {
-        let mut sim = FabricSim::with_config(
-            by_name("mcf").unwrap(),
-            Scheme::Cable(EngineKind::Lbe),
-            4,
-            19.2e9,
-            &cfg,
-        );
-        let tel = Telemetry::enabled();
-        sim.set_telemetry(tel.clone());
-        match workers {
-            Some(w) => sim.run_sharded(3_000, w),
-            None => sim.run(3_000),
-        };
-        let mut metrics: Vec<String> = tel
-            .snapshot()
-            .metrics
-            .iter()
-            .map(|m| format!("{m:?}"))
-            .filter(|m| m.contains("mesh.hop."))
-            .collect();
-        metrics.sort();
-        let hops: Vec<String> = sim.hop_stats().iter().map(|h| format!("{h:?}")).collect();
-        (metrics, hops)
-    };
-    let sequential = hop_view(None);
+    let run = assert_traces_match_run_linear("mesh faults", &cfg, 1 << 16);
     assert!(
-        sequential.0.iter().any(|m| m.contains("mesh.hop.1.faults")),
-        "the pinned wire must surface hop-keyed fault counters: {:?}",
-        sequential.0
+        run.jsonl.contains("\"mesh.hop.1.faults\""),
+        "the pinned wire must surface hop-keyed fault counters"
     );
-    for workers in WORKER_SWEEP {
-        assert_eq!(sequential, hop_view(Some(workers)), "workers={workers}");
-    }
 }
 
 #[test]
-fn degradation_telemetry_is_deterministic_across_worker_counts() {
-    // Ladder markers (degrade.demote/promote), reliable-mode phases, and
-    // the adaptive counters ride the same fork/merge path as link
-    // telemetry; a fault burst must not make them worker-count dependent.
-    //
-    // Fault storms emit far more events than the default bounded ring
-    // holds, and ring *eviction* order depends on how chips share fork
-    // rings — so the determinism contract is exact only while nothing is
-    // dropped. Size the ring for the whole run and assert that premise.
-    let cfg = SystemConfig {
-        fault: Some(FaultConfig::with_rate(0xFA17, 8e-3)),
+fn degradation_telemetry_matches_run_linear() {
+    // Ladder markers (degrade.demote/promote), reliable-mode phases, the
+    // adaptive counters and the last-value `adaptive.degrade_level`
+    // gauge are staged with the step that produced them, so the trace
+    // and snapshot are the same bytes for every worker count — with the
+    // default ring, whether or not a fault storm overflows it.
+    let ladder = |rate: f64, window_ops: u32, quiet_windows: u32| SystemConfig {
+        fault: Some(FaultConfig::with_rate(0, rate)),
         degrade: Some(DegradePolicy {
-            window_ops: 64,
+            window_ops,
+            quiet_windows,
             resync_interval_ops: 256,
             ..DegradePolicy::paper_defaults()
         }),
         ..small_config()
     };
-    let trace_of = |workers: usize| {
-        let mut sim = FabricSim::with_config(
-            by_name("mcf").unwrap(),
-            Scheme::Cable(EngineKind::Lbe),
-            4,
-            19.2e9,
-            &cfg,
-        );
-        let tel = Telemetry::with_config(cable_telemetry::TracerConfig::with_capacity(1 << 20));
-        sim.set_telemetry(tel.clone());
-        sim.run_sharded(3_000, workers);
-        assert_eq!(tel.dropped_events(), 0, "ring must hold the whole run");
-        let events: Vec<(u64, cable_telemetry::Event)> = tel
-            .events()
-            .iter()
-            .map(|te| (te.now_ps, te.event))
-            .collect();
-        let mut metrics: Vec<String> = tel
-            .snapshot()
-            .metrics
-            .iter()
-            .map(|m| format!("{m:?}"))
-            .collect();
-        metrics.sort();
-        (events, metrics, sim.degrade_levels())
-    };
-    let one = trace_of(1);
-    assert!(
-        one.1.iter().any(|m| m.contains("adaptive.demotions")),
-        "burst must surface ladder counters: {:?}",
-        one.1
+    let storm = assert_traces_match_run_linear(
+        "fault storm",
+        &ladder(8e-3, 64, DegradePolicy::paper_defaults().quiet_windows),
+        TracerConfig::default().capacity,
     );
-    for workers in [2, 4, 8] {
-        assert_eq!(one, trace_of(workers), "workers={workers}");
-    }
+    assert!(
+        storm.jsonl.contains("\"adaptive.demotions\""),
+        "the storm must surface ladder counters"
+    );
+    assert!(storm.digest.degradation.is_some());
+    // A sparse fault rate with one-window re-arming keeps the ladders
+    // moving both ways to the end, so the last gauge store in replay
+    // order differs from the last one any functional thread made: a
+    // gauge stored when stepped, not when replayed, fails here.
+    let oscillating = assert_traces_match_run_linear(
+        "oscillating ladder",
+        &ladder(3e-4, 32, 1),
+        TracerConfig::default().capacity,
+    );
+    assert!(oscillating.jsonl.contains("\"adaptive.promotions\""));
 }
 
 #[test]

@@ -59,6 +59,7 @@ pub mod latency;
 pub mod registry;
 pub mod report;
 pub mod sink;
+pub mod stage;
 pub mod tracer;
 
 pub use event::{Event, LaneKind, TraceEvent, TRACKS};
@@ -75,8 +76,10 @@ pub use report::{
     DEFAULT_HOP_TOP,
 };
 pub use sink::{EventSink, SharedBuf};
+pub use stage::StagedOps;
 pub use tracer::{Tracer, TracerConfig, NUM_TRACKS};
 
+use stage::{Stage, StagedOp};
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,12 +88,51 @@ use std::sync::Arc;
 /// Shared state behind an enabled [`Telemetry`] handle.
 struct Inner {
     /// Behind its own [`Arc`] so shard forks ([`Telemetry::fork_shard`])
-    /// can share one registry (atomic metric updates commute across
-    /// shards) while owning private tracers and clocks.
+    /// and staging handles ([`Telemetry::staging`]) can share one registry
+    /// (atomic metric updates commute across threads) while owning
+    /// private event paths and clocks.
     registry: Arc<Registry>,
-    tracer: Tracer,
+    events: EventPath,
     /// The current simulated time in picoseconds; event stamps read this.
     now_ps: AtomicU64,
+}
+
+/// Where an enabled handle's events go.
+#[allow(clippy::large_enum_variant)] // one per handle, already behind an `Arc`
+enum EventPath {
+    /// Straight into a tracer, stamped on arrival.
+    Trace(Tracer),
+    /// Held back, with gauge stores, until a replay stamps them.
+    Stage(Arc<Stage>),
+}
+
+impl Inner {
+    fn new(registry: Arc<Registry>, events: EventPath, now_ps: u64) -> Arc<Self> {
+        Arc::new(Inner {
+            registry,
+            events,
+            now_ps: AtomicU64::new(now_ps),
+        })
+    }
+
+    fn tracer(&self) -> Option<&Tracer> {
+        match &self.events {
+            EventPath::Trace(t) => Some(t),
+            EventPath::Stage(_) => None,
+        }
+    }
+
+    fn push(&self, stamp: Option<u64>, event: Event) {
+        match &self.events {
+            EventPath::Trace(t) => {
+                t.push(
+                    stamp.unwrap_or_else(|| self.now_ps.load(Ordering::Relaxed)),
+                    event,
+                );
+            }
+            EventPath::Stage(stage) => stage.push(StagedOp::Event(stamp, event)),
+        }
+    }
 }
 
 /// A cloneable telemetry handle: either a no-op (disabled, the default) or
@@ -122,11 +164,11 @@ impl Telemetry {
     #[must_use]
     pub fn with_config(cfg: TracerConfig) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Arc::new(Registry::new()),
-                tracer: Tracer::new(cfg),
-                now_ps: AtomicU64::new(0),
-            })),
+            inner: Some(Inner::new(
+                Arc::new(Registry::new()),
+                EventPath::Trace(Tracer::new(cfg)),
+                0,
+            )),
         }
     }
 
@@ -138,11 +180,11 @@ impl Telemetry {
     #[must_use]
     pub fn streaming(cfg: TracerConfig, sink: Box<dyn EventSink>) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Arc::new(Registry::new()),
-                tracer: Tracer::with_sink(cfg, sink),
-                now_ps: AtomicU64::new(0),
-            })),
+            inner: Some(Inner::new(
+                Arc::new(Registry::new()),
+                EventPath::Trace(Tracer::with_sink(cfg, sink)),
+                0,
+            )),
         }
     }
 
@@ -153,18 +195,80 @@ impl Telemetry {
     /// on `set_now_ps` or interleave their event sequences. The fork is
     /// ring-only even when the parent streams; merge its events back with
     /// [`Self::absorb_shards`]. Forking a disabled handle yields a
-    /// disabled handle.
+    /// disabled handle; forking a staging handle yields a staging handle.
     #[must_use]
     pub fn fork_shard(&self) -> Telemetry {
         match &self.inner {
+            Some(inner) => {
+                let events = match &inner.events {
+                    EventPath::Trace(t) => EventPath::Trace(Tracer::new(t.config())),
+                    EventPath::Stage(_) => EventPath::Stage(Arc::default()),
+                };
+                Telemetry {
+                    inner: Some(Inner::new(
+                        Arc::clone(&inner.registry),
+                        events,
+                        self.now_ps(),
+                    )),
+                }
+            }
+            None => Telemetry::disabled(),
+        }
+    }
+
+    /// A staging handle for a clock-free simulation phase (see
+    /// [`stage`]): it *shares* this handle's metrics registry, so counter
+    /// and histogram updates land at once, but holds back its trace events
+    /// and gauge stores until [`Self::replay_staged`] applies them here.
+    /// Staging a disabled handle yields a disabled handle.
+    #[must_use]
+    pub fn staging(&self) -> Telemetry {
+        match &self.inner {
             Some(inner) => Telemetry {
-                inner: Some(Arc::new(Inner {
-                    registry: Arc::clone(&inner.registry),
-                    tracer: Tracer::new(inner.tracer.config()),
-                    now_ps: AtomicU64::new(self.now_ps()),
-                })),
+                inner: Some(Inner::new(
+                    Arc::clone(&inner.registry),
+                    EventPath::Stage(Arc::default()),
+                    0,
+                )),
             },
             None => Telemetry::disabled(),
+        }
+    }
+
+    /// Operations a staging handle holds back (0 on any other handle).
+    #[must_use]
+    pub fn staged(&self) -> usize {
+        match self.inner.as_deref().map(|inner| &inner.events) {
+            Some(EventPath::Stage(stage)) => stage.len(),
+            _ => 0,
+        }
+    }
+
+    /// Moves every operation this staging handle holds back to the end of
+    /// `out`, oldest first (a no-op on any other handle).
+    pub fn take_staged(&self, out: &mut StagedOps) {
+        if let Some(EventPath::Stage(stage)) = self.inner.as_deref().map(|inner| &inner.events) {
+            stage.take_into(out);
+        }
+    }
+
+    /// Sets this handle's clock to `now_ps`, then applies the `n` oldest
+    /// operations of `ops` in order: events are recorded stamped `now_ps`
+    /// (or with their own `record_at` stamp), gauge stores take effect.
+    /// A disabled handle discards them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` holds fewer than `n` operations.
+    pub fn replay_staged(&self, ops: &mut StagedOps, n: usize, now_ps: u64) {
+        self.set_now_ps(now_ps);
+        let ops = ops.0.drain(..n);
+        let Some(inner) = &self.inner else { return };
+        for op in ops {
+            match op {
+                StagedOp::Event(stamp, event) => inner.push(stamp, event),
+                StagedOp::Gauge(cell, v) => cell.store(v, Ordering::Relaxed),
+            }
         }
     }
 
@@ -177,7 +281,9 @@ impl Telemetry {
     /// merged. Shard drop counts are folded into this handle's tracer so
     /// ring overflow in a fork is still visible as a drop.
     pub fn absorb_shards(&self, shards: &[Telemetry]) -> usize {
-        let Some(inner) = &self.inner else { return 0 };
+        let Some(tracer) = self.inner.as_deref().and_then(Inner::tracer) else {
+            return 0;
+        };
         let mut merged: Vec<(u64, usize, u64, Event)> = Vec::new();
         let mut dropped = 0;
         for (shard_idx, shard) in shards.iter().enumerate() {
@@ -189,9 +295,9 @@ impl Telemetry {
         merged.sort_by_key(|&(now_ps, shard_idx, seq, _)| (now_ps, shard_idx, seq));
         let n = merged.len();
         for (now_ps, _, _, event) in merged {
-            inner.tracer.push(now_ps, event);
+            tracer.push(now_ps, event);
         }
-        inner.tracer.add_dropped(dropped);
+        tracer.add_dropped(dropped);
         n
     }
 
@@ -216,7 +322,13 @@ impl Telemetry {
     #[must_use]
     pub fn gauge(&self, id: &'static str) -> Gauge {
         match &self.inner {
-            Some(inner) => inner.registry.gauge(id),
+            Some(inner) => {
+                let gauge = inner.registry.gauge(id);
+                match &inner.events {
+                    EventPath::Trace(_) => gauge,
+                    EventPath::Stage(stage) => gauge.staged(Arc::clone(stage)),
+                }
+            }
             None => Gauge::noop(),
         }
     }
@@ -262,9 +374,7 @@ impl Telemetry {
     /// once the ring is full the oldest event is dropped (and counted).
     pub fn record(&self, event: Event) {
         if let Some(inner) = &self.inner {
-            inner
-                .tracer
-                .push(inner.now_ps.load(Ordering::Relaxed), event);
+            inner.push(None, event);
         }
     }
 
@@ -272,7 +382,7 @@ impl Telemetry {
     /// whose start precedes the current clock).
     pub fn record_at(&self, now_ps: u64, event: Event) {
         if let Some(inner) = &self.inner {
-            inner.tracer.push(now_ps, event);
+            inner.push(Some(now_ps), event);
         }
     }
 
@@ -289,56 +399,38 @@ impl Telemetry {
     /// The buffered trace events, oldest first.
     #[must_use]
     pub fn events(&self) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(inner) => inner.tracer.events(),
-            None => Vec::new(),
-        }
+        self.tracer().map_or_else(Vec::new, Tracer::events)
     }
 
     /// How many events [`Self::events`] would return, without building
     /// them.
     #[must_use]
     pub fn buffered_events(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.tracer.len(),
-            None => 0,
-        }
+        self.tracer().map_or(0, Tracer::len)
     }
 
     /// Events dropped because the ring buffer was full.
     #[must_use]
     pub fn dropped_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.tracer.dropped(),
-            None => 0,
-        }
+        self.tracer().map_or(0, Tracer::dropped)
     }
 
     /// Events drained to the streaming sink so far.
     #[must_use]
     pub fn drained_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.tracer.drained(),
-            None => 0,
-        }
+        self.tracer().map_or(0, Tracer::drained)
     }
 
     /// Total events ever recorded (buffered + drained + dropped).
     #[must_use]
     pub fn recorded_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.tracer.recorded(),
-            None => 0,
-        }
+        self.tracer().map_or(0, Tracer::recorded)
     }
 
     /// Forces a drain of buffered events to the streaming sink; returns
     /// how many were written (0 without a sink).
     pub fn drain_events(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.tracer.drain(),
-            None => 0,
-        }
+        self.tracer().map_or(0, Tracer::drain)
     }
 
     /// Ends a streaming export: drains the remaining events, hands the
@@ -352,9 +444,16 @@ impl Telemetry {
     /// sink's finish.
     pub fn finish_stream(&self) -> io::Result<(u64, u64)> {
         match &self.inner {
-            Some(inner) => inner.tracer.finish(&inner.registry.snapshot()),
+            Some(inner) => inner
+                .tracer()
+                .map_or(Ok((0, 0)), |t| t.finish(&inner.registry.snapshot())),
             None => Ok((0, 0)),
         }
+    }
+
+    /// The tracer behind an enabled, non-staging handle.
+    fn tracer(&self) -> Option<&Tracer> {
+        self.inner.as_deref().and_then(Inner::tracer)
     }
 
     /// Exports the metrics snapshot plus trace as JSONL (see
@@ -374,13 +473,18 @@ impl Telemetry {
 
 impl fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.inner {
-            Some(inner) => write!(
-                f,
-                "Telemetry(enabled, {} events, now {} ps)",
-                inner.tracer.len(),
-                inner.now_ps.load(Ordering::Relaxed)
-            ),
+        match self.inner.as_deref() {
+            Some(inner) => match &inner.events {
+                EventPath::Trace(t) => write!(
+                    f,
+                    "Telemetry(enabled, {} events, now {} ps)",
+                    t.len(),
+                    inner.now_ps.load(Ordering::Relaxed)
+                ),
+                EventPath::Stage(stage) => {
+                    write!(f, "Telemetry(staging, {} held back)", stage.len())
+                }
+            },
             None => write!(f, "Telemetry(disabled)"),
         }
     }
@@ -443,6 +547,53 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2], "sequence numbers are dense");
         let stamps: Vec<u64> = tel.events().iter().map(|e| e.now_ps).collect();
         assert_eq!(stamps, vec![10, 25, 12]);
+    }
+
+    #[test]
+    fn staging_holds_back_events_and_gauges_until_replayed() {
+        let parent = Telemetry::enabled();
+        let stage = parent.staging();
+        stage.counter("c").add(2);
+        stage.gauge("g").set(7);
+        stage.record(Event::FallbackRaw);
+        stage.record_at(3, Event::EvictBufferHit);
+        assert_eq!(
+            parent.snapshot().counter("c"),
+            Some(2),
+            "counters commute, so they land at once"
+        );
+        assert_eq!(parent.snapshot().gauge("g"), Some(0));
+        assert!(parent.events().is_empty());
+        assert!(stage.events().is_empty(), "a staging handle has no trace");
+        assert_eq!(stage.staged(), 3);
+
+        let mut ops = StagedOps::default();
+        stage.take_staged(&mut ops);
+        assert_eq!((stage.staged(), ops.len()), (0, 3));
+        parent.replay_staged(&mut ops, 2, 40);
+        assert_eq!(parent.snapshot().gauge("g"), Some(7));
+        assert_eq!(parent.now_ps(), 40);
+        parent.replay_staged(&mut ops, 1, 50);
+        assert!(ops.is_empty());
+        let got: Vec<(u64, Event)> = parent
+            .events()
+            .iter()
+            .map(|te| (te.now_ps, te.event))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(40, Event::FallbackRaw), (3, Event::EvictBufferHit)],
+            "replay stamps plain events, keeps explicit stamps"
+        );
+    }
+
+    #[test]
+    fn staging_a_disabled_handle_is_free() {
+        let stage = Telemetry::disabled().staging();
+        assert!(!stage.is_enabled());
+        stage.record(Event::FallbackRaw);
+        stage.gauge("g").set(1);
+        assert_eq!(stage.staged(), 0);
     }
 
     #[test]

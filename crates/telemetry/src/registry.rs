@@ -6,6 +6,7 @@
 //! operations, cheap enough to sit on the allocation-free encode hot path.
 //! Snapshots walk the id-sorted maps so exported output is deterministic.
 
+use crate::stage::{Stage, StagedOp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,25 +44,42 @@ impl Counter {
 
 /// A last-value-wins gauge handle.
 #[derive(Clone, Debug, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
+pub struct Gauge {
+    cell: Option<Arc<AtomicU64>>,
+    /// Set when resolved from a staging handle: stores are held back
+    /// until the replay applies them (see [`crate::stage`]).
+    stage: Option<Arc<Stage>>,
+}
 
 impl Gauge {
     pub(crate) fn noop() -> Self {
-        Gauge(None)
+        Gauge::default()
     }
 
-    /// Stores `v`.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        if let Some(cell) = &self.0 {
-            cell.store(v, Ordering::Relaxed);
+    /// This gauge with its stores deferred into `stage`.
+    pub(crate) fn staged(self, stage: Arc<Stage>) -> Self {
+        Gauge {
+            stage: Some(stage),
+            ..self
         }
     }
 
-    /// Current value (zero for a no-op handle).
+    /// Stores `v` (or stages the store, on a staging handle's gauge).
+    #[inline]
+    pub fn set(&self, v: u64) {
+        if let Some(cell) = &self.cell {
+            match &self.stage {
+                Some(stage) => stage.push(StagedOp::Gauge(Arc::clone(cell), v)),
+                None => cell.store(v, Ordering::Relaxed),
+            }
+        }
+    }
+
+    /// Current value (zero for a no-op handle; staged stores are not
+    /// visible until replayed).
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -223,7 +241,10 @@ impl Registry {
     #[must_use]
     pub fn gauge(&self, id: &'static str) -> Gauge {
         let mut map = self.gauges.lock().expect("registry poisoned");
-        Gauge(Some(Arc::clone(map.entry(id).or_default())))
+        Gauge {
+            cell: Some(Arc::clone(map.entry(id).or_default())),
+            stage: None,
+        }
     }
 
     /// Resolves (registering on first use) the histogram named `id`.
